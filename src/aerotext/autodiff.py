@@ -283,31 +283,6 @@ def softmax_cross_entropy(logits: Tensor, label: int) -> Tensor:
     return _node(np.float64(loss), (logits,), back)
 
 
-# Kind-name dispatch for the primitive set; the recorded graph is made of
-# exactly these operations (plus the fused loss above).
-PRIMITIVES: dict[str, Callable[..., Tensor]] = {
-    "matmul": matmul,
-    "add": add,
-    "mul": mul,
-    "concat_last_axis": concat_last_axis,
-    "slice": take,
-    "sum": sum_all,
-    "mean": mean_all,
-    "tanh": tanh,
-    "sigmoid": sigmoid,
-    "relu": relu,
-    "softmax_last_axis": softmax_last_axis,
-    "max_over_axis": max_over_axis,
-}
-
-
-def primitive_forward(kind: str, *inputs) -> Tensor:
-    """Apply a primitive by kind name (see PRIMITIVES for the shape rules)."""
-    if kind not in PRIMITIVES:
-        raise ShapeMismatch(f"unknown primitive kind {kind!r}")
-    return PRIMITIVES[kind](*inputs)
-
-
 # --- reverse sweep --------------------------------------------------------
 
 def _topo_order(root: Tensor) -> list[Tensor]:

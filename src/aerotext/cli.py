@@ -29,7 +29,7 @@ from .corpus import (
     ingest_records,
     split_dataset,
 )
-from .errors import AerotextError
+from .errors import AerotextError, InvalidConfig
 from .models import ARCHITECTURES, ModelConfig
 from .textprep import (
     DEFAULT_MAX_LEN,
@@ -56,7 +56,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("AEROTEXT_SEED", "0"))
+    value = os.environ.get("AEROTEXT_SEED", "0")
+    try:
+        return int(value)
+    except ValueError:
+        raise InvalidConfig(f"AEROTEXT_SEED must be an integer, got {value!r}") from None
 
 
 def _sha256(path: Path) -> str:
@@ -110,6 +114,9 @@ def _read_split_csv(path: Path) -> list[LabeledRecord]:
 # --- prepare -----------------------------------------------------------------
 
 def cmd_prepare(args) -> int:
+    for option, value in (("--max-len", args.max_len), ("--vocab-size", args.vocab_size)):
+        if value < 1:
+            raise InvalidConfig(f"{option} must be >= 1, got {value}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stopwords = load_stopwords(args.stopwords) if args.stopwords else default_stopwords()
@@ -193,7 +200,6 @@ def _load_prepared(data_dir: Path) -> dict:
 def cmd_train(args) -> int:
     data_dir = Path(args.data)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     prepared = _load_prepared(data_dir)
     splits = prepared["splits"]
 
@@ -212,6 +218,7 @@ def cmd_train(args) -> int:
 
     # manifest goes down before training starts so an interrupted run is
     # still reproducible from disk (the best epoch lives in the checkpoint)
+    out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / "checkpoint.atxc"
     _write_manifest(
         out_dir, "train", args.seed,

@@ -5,6 +5,11 @@ class AerotextError(Exception):
     """Base class for every error this package raises on purpose."""
 
 
+class InvalidConfig(AerotextError, ValueError):
+    """An option or config field out of its range; a ValueError as well,
+    which the config dataclasses have always raised."""
+
+
 # --- corpus ---------------------------------------------------------------
 
 class MissingColumn(AerotextError):

@@ -21,14 +21,16 @@ State updates:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import typing
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import OperatorClass
-from .errors import IdOutOfRange, KernelTooLarge, ShapeMismatch
+from .errors import IdOutOfRange, InvalidConfig, KernelTooLarge, ShapeMismatch
 from .textprep import TokenSequence
 
 ARCHITECTURES = ("cnn", "srnn", "lstm", "blstm")
@@ -50,17 +52,17 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.arch not in ARCHITECTURES:
-            raise ValueError(f"arch must be one of {ARCHITECTURES}, got {self.arch!r}")
+            raise InvalidConfig(f"arch must be one of {ARCHITECTURES}, got {self.arch!r}")
         for name in ("vocab_size", "embedding_dim", "hidden_units", "head_units",
                      "max_len", "conv_filters", "conv_kernel"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+                raise InvalidConfig(f"{name} must be >= 1")
         if self.num_classes != NUM_CLASSES:
-            raise ValueError("this classifier is fixed at 3 classes")
+            raise InvalidConfig("this classifier is fixed at 3 classes")
         if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
+            raise InvalidConfig("dropout_rate must be in [0, 1)")
         if self.arch == "cnn" and self.conv_kernel > self.max_len:
-            raise ValueError("conv_kernel cannot exceed max_len")
+            raise InvalidConfig("conv_kernel cannot exceed max_len")
 
     @property
     def feature_size(self) -> int:
@@ -133,156 +135,134 @@ class ModelParams:
     head: HeadParams
 
 
-# --- initialization ---------------------------------------------------------
+# --- the parameter table ----------------------------------------------------
 
-def _glorot(rng: np.random.Generator, shape: tuple[int, ...],
-            fan_in: int, fan_out: int) -> np.ndarray:
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, shape)
+CELL_TYPES = {"cnn": CnnParams, "srnn": SrnnParams, "lstm": LstmParams,
+              "blstm": BlstmParams}
 
 
-def _param(array: np.ndarray) -> Tensor:
-    return Tensor(array, requires_grad=True)
+@dataclass(frozen=True)
+class ParamSpec:
+    """One parameter tensor: its checkpoint name, shape and initial values.
 
-
-def _init_lstm(rng: np.random.Generator, h: int, d: int) -> LstmParams:
-    def gate_w():
-        return _param(_glorot(rng, (h, h + d), h + d, h))
-    w_f, w_i, w_o, w_g = gate_w(), gate_w(), gate_w(), gate_w()
-    # forget bias starts at +1 so early training does not erase the cell state
-    return LstmParams(w_f, w_i, w_o, w_g,
-                      b_f=_param(np.ones(h)), b_i=_param(np.zeros(h)),
-                      b_o=_param(np.zeros(h)), b_g=_param(np.zeros(h)))
-
-
-def init_params(config: ModelConfig, seed: int) -> ModelParams:
-    """Seeded deterministic initialization.
-
-    Weight matrices are uniform within the Glorot bound
-    sqrt(6/(fan_in+fan_out)); the convolution filters count fan_in = k*d
-    and fan_out = F. Embedding rows are uniform in +-0.05 except the
-    padding row, which starts at zero so padded positions contribute
-    nothing to the convolution until trained. Biases are zero apart from
-    the LSTM forget bias (+1).
+    `init` is one of
+      "glorot"       uniform within sqrt(6/(fan_in+fan_out)), fans given
+      "embedding"    uniform in +-0.05, except the padding row 0, which
+                     starts at zero so padded positions contribute nothing
+                     to the convolution until trained
+      "zeros"
+      "forget_bias"  +1, so early training does not erase the LSTM cell state
     """
-    rng = np.random.default_rng(seed)
-    h, d = config.hidden_units, config.embedding_dim
-    table = rng.uniform(-0.05, 0.05, (config.vocab_size + 2, d))
-    table[0] = 0.0
-    embedding = EmbeddingParams(_param(table))
 
-    cell: SrnnParams | LstmParams | BlstmParams | CnnParams
-    if config.arch == "srnn":
-        cell = SrnnParams(_param(_glorot(rng, (h, h + d), h + d, h)),
-                          _param(np.zeros(h)))
-    elif config.arch == "lstm":
-        cell = _init_lstm(rng, h, d)
-    elif config.arch == "blstm":
-        cell = BlstmParams(_init_lstm(rng, h, d), _init_lstm(rng, h, d))
-    else:
-        k, f = config.conv_kernel, config.conv_filters
-        cell = CnnParams(_param(_glorot(rng, (k, d, f), k * d, f)),
-                         _param(np.zeros(f)))
+    name: str
+    shape: tuple[int, ...]
+    init: str
+    fans: tuple[int, int] | None = None
 
-    feat = config.feature_size
-    head = HeadParams(
-        w1=_param(_glorot(rng, (config.head_units, feat), feat, config.head_units)),
-        b1=_param(np.zeros(config.head_units)),
-        w2=_param(_glorot(rng, (NUM_CLASSES, config.head_units),
-                          config.head_units, NUM_CLASSES)),
-        b2=_param(np.zeros(NUM_CLASSES)),
-    )
-    return ModelParams(config, embedding, cell, head)
+    def initial(self, rng: np.random.Generator) -> np.ndarray:
+        if self.init == "glorot":
+            fan_in, fan_out = self.fans
+            bound = math.sqrt(6.0 / (fan_in + fan_out))
+            return rng.uniform(-bound, bound, self.shape)
+        if self.init == "embedding":
+            table = rng.uniform(-0.05, 0.05, self.shape)
+            table[0] = 0.0
+            return table
+        return np.full(self.shape, 1.0 if self.init == "forget_bias" else 0.0)
 
 
-def _lstm_tensors(prefix: str, p: LstmParams) -> list[tuple[str, Tensor]]:
-    return [(f"{prefix}.w_f", p.w_f), (f"{prefix}.w_i", p.w_i),
-            (f"{prefix}.w_o", p.w_o), (f"{prefix}.w_g", p.w_g),
-            (f"{prefix}.b_f", p.b_f), (f"{prefix}.b_i", p.b_i),
-            (f"{prefix}.b_o", p.b_o), (f"{prefix}.b_g", p.b_g)]
+def parameter_table(config: ModelConfig) -> list[ParamSpec]:
+    """Every parameter tensor of the configured model, in checkpoint order.
 
+    A name's dotted path is its attribute path in ModelParams, with the
+    architecture name standing for `cell`. Initialization draws from the
+    seeded generator in this order, so the order fixes the initial values.
+    """
+    h, d, u = config.hidden_units, config.embedding_dim, config.head_units
+    k, f, feat = config.conv_kernel, config.conv_filters, config.feature_size
 
-def named_parameters(params: ModelParams) -> list[tuple[str, Tensor]]:
-    """Canonically named and ordered parameter tensors (checkpoint order)."""
-    named = [("embedding.table", params.embedding.table)]
-    cell = params.cell
-    if isinstance(cell, SrnnParams):
-        named += [("srnn.w", cell.w), ("srnn.b", cell.b)]
-    elif isinstance(cell, LstmParams):
-        named += _lstm_tensors("lstm", cell)
-    elif isinstance(cell, BlstmParams):
-        named += _lstm_tensors("blstm.fwd", cell.fwd)
-        named += _lstm_tensors("blstm.bwd", cell.bwd)
-    else:
-        named += [("cnn.filters", cell.filters), ("cnn.bias", cell.bias)]
-    named += [("head.w1", params.head.w1), ("head.b1", params.head.b1),
-              ("head.w2", params.head.w2), ("head.b2", params.head.b2)]
-    return named
+    def lstm(prefix: str) -> list[ParamSpec]:
+        return ([ParamSpec(f"{prefix}.w_{g}", (h, h + d), "glorot", (h + d, h))
+                 for g in "fiog"]
+                + [ParamSpec(f"{prefix}.b_f", (h,), "forget_bias")]
+                + [ParamSpec(f"{prefix}.b_{g}", (h,), "zeros") for g in "iog"])
+
+    cells = {
+        "cnn": [ParamSpec("cnn.filters", (k, d, f), "glorot", (k * d, f)),
+                ParamSpec("cnn.bias", (f,), "zeros")],
+        "srnn": [ParamSpec("srnn.w", (h, h + d), "glorot", (h + d, h)),
+                 ParamSpec("srnn.b", (h,), "zeros")],
+        "lstm": lstm("lstm"),
+        "blstm": lstm("blstm.fwd") + lstm("blstm.bwd"),
+    }
+    return [ParamSpec("embedding.table", (config.vocab_size + 2, d), "embedding"),
+            *cells[config.arch],
+            ParamSpec("head.w1", (u, feat), "glorot", (feat, u)),
+            ParamSpec("head.b1", (u,), "zeros"),
+            ParamSpec("head.w2", (NUM_CLASSES, u), "glorot", (u, NUM_CLASSES)),
+            ParamSpec("head.b2", (NUM_CLASSES,), "zeros")]
 
 
 def expected_parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    h, d = config.hidden_units, config.embedding_dim
-    shapes = {"embedding.table": (config.vocab_size + 2, d)}
-    if config.arch == "srnn":
-        shapes["srnn.w"] = (h, h + d)
-        shapes["srnn.b"] = (h,)
-    elif config.arch == "lstm":
-        shapes.update(_lstm_shapes("lstm", h, d))
-    elif config.arch == "blstm":
-        shapes.update(_lstm_shapes("blstm.fwd", h, d))
-        shapes.update(_lstm_shapes("blstm.bwd", h, d))
-    else:
-        shapes["cnn.filters"] = (config.conv_kernel, d, config.conv_filters)
-        shapes["cnn.bias"] = (config.conv_filters,)
-    feat = config.feature_size
-    shapes["head.w1"] = (config.head_units, feat)
-    shapes["head.b1"] = (config.head_units,)
-    shapes["head.w2"] = (NUM_CLASSES, config.head_units)
-    shapes["head.b2"] = (NUM_CLASSES,)
-    return shapes
+    return {spec.name: spec.shape for spec in parameter_table(config)}
 
 
-def _lstm_shapes(prefix: str, h: int, d: int) -> dict[str, tuple[int, ...]]:
-    shapes = {}
-    for gate in "fiog":
-        shapes[f"{prefix}.w_{gate}"] = (h, h + d)
-        shapes[f"{prefix}.b_{gate}"] = (h,)
-    return shapes
-
-
-def build_params(config: ModelConfig, arrays: dict[str, np.ndarray],
-                 requires_grad: bool = True) -> ModelParams:
-    """Assemble ModelParams from named arrays, validating names and shapes."""
+def check_parameter_shapes(config: ModelConfig, arrays: Mapping[str, np.ndarray]) -> None:
+    """Raise ShapeMismatch unless `arrays` holds exactly the table's names,
+    each with the table's shape."""
     expected = expected_parameter_shapes(config)
     if set(arrays) != set(expected):
         missing = sorted(set(expected) - set(arrays))
         extra = sorted(set(arrays) - set(expected))
         raise ShapeMismatch(f"parameter names mismatch: missing {missing}, unexpected {extra}")
-    tensors = {}
     for name, shape in expected.items():
         if tuple(arrays[name].shape) != shape:
             raise ShapeMismatch(f"{name}: expected shape {shape}, got {tuple(arrays[name].shape)}")
-        tensors[name] = Tensor(np.array(arrays[name], dtype=np.float64),
-                               requires_grad=requires_grad)
-
-    embedding = EmbeddingParams(tensors["embedding.table"])
-    cell: SrnnParams | LstmParams | BlstmParams | CnnParams
-    if config.arch == "srnn":
-        cell = SrnnParams(tensors["srnn.w"], tensors["srnn.b"])
-    elif config.arch == "lstm":
-        cell = _lstm_from(tensors, "lstm")
-    elif config.arch == "blstm":
-        cell = BlstmParams(_lstm_from(tensors, "blstm.fwd"), _lstm_from(tensors, "blstm.bwd"))
-    else:
-        cell = CnnParams(tensors["cnn.filters"], tensors["cnn.bias"])
-    head = HeadParams(tensors["head.w1"], tensors["head.b1"],
-                      tensors["head.w2"], tensors["head.b2"])
-    return ModelParams(config, embedding, cell, head)
 
 
-def _lstm_from(tensors: dict[str, Tensor], prefix: str) -> LstmParams:
-    return LstmParams(*(tensors[f"{prefix}.w_{g}"] for g in "fiog"),
-                      *(tensors[f"{prefix}.b_{g}"] for g in "fiog"))
+def _group(cls, prefix: str, tensors: Mapping[str, Tensor]):
+    """Fill dataclass `cls` from the tensors named `<prefix>.<field>`,
+    recursing into fields that are parameter groups themselves."""
+    return cls(**{name: tensors[f"{prefix}.{name}"] if hint is Tensor
+                  else _group(hint, f"{prefix}.{name}", tensors)
+                  for name, hint in typing.get_type_hints(cls).items()})
+
+
+def _assemble(config: ModelConfig, tensors: Mapping[str, Tensor]) -> ModelParams:
+    # a module-level _group, not a self-recursive closure: such a closure is
+    # a reference cycle that would keep every tensor and its gradient alive
+    # until the cyclic garbage collector runs
+    return ModelParams(config, _group(EmbeddingParams, "embedding", tensors),
+                       _group(CELL_TYPES[config.arch], config.arch, tensors),
+                       _group(HeadParams, "head", tensors))
+
+
+def init_params(config: ModelConfig, seed: int) -> ModelParams:
+    """Seeded deterministic initialization, tensor by tensor in table order."""
+    rng = np.random.default_rng(seed)
+    return _assemble(config, {spec.name: Tensor(spec.initial(rng), requires_grad=True)
+                              for spec in parameter_table(config)})
+
+
+def named_parameters(params: ModelParams) -> list[tuple[str, Tensor]]:
+    """Canonically named and ordered parameter tensors (checkpoint order)."""
+    named = []
+    for spec in parameter_table(params.config):
+        root, *path = spec.name.split(".")
+        node = params.cell if root == params.config.arch else getattr(params, root)
+        for attr in path:
+            node = getattr(node, attr)
+        named.append((spec.name, node))
+    return named
+
+
+def build_params(config: ModelConfig, arrays: Mapping[str, np.ndarray],
+                 requires_grad: bool = True) -> ModelParams:
+    """Assemble ModelParams from named arrays, validating names and shapes."""
+    check_parameter_shapes(config, arrays)
+    return _assemble(config, {name: Tensor(np.array(array, dtype=np.float64),
+                                           requires_grad=requires_grad)
+                              for name, array in arrays.items()})
 
 
 # --- forward pieces ---------------------------------------------------------
@@ -340,17 +320,18 @@ def recurrent_forward(seq: Tensor, true_length: int,
 
 def blstm_forward(seq: Tensor, true_length: int, fwd: LstmParams,
                   bwd: LstmParams) -> Tensor:
-    """concat(forward-order final state, reversed-order final state) -> (2H,)."""
+    """concat(forward-order final state, reversed-order final state) -> (2H,).
+
+    The reversed pass reads a row-reversed gather of the first true_length
+    rows of the already-embedded sequence, so the embedding table is
+    gathered once for both directions.
+    """
     t_max = seq.shape[0]
     if not 0 <= true_length <= t_max:
         raise ValueError(f"true_length {true_length} outside [0, {t_max}]")
-    hidden = fwd.w_f.shape[0]
-    h_f, c_f = ad.zeros(hidden), ad.zeros(hidden)
-    h_b, c_b = ad.zeros(hidden), ad.zeros(hidden)
-    for t in range(true_length):
-        h_f, c_f = lstm_step(h_f, c_f, ad.take(seq, t), fwd)
-        h_b, c_b = lstm_step(h_b, c_b, ad.take(seq, true_length - 1 - t), bwd)
-    return ad.concat_last_axis(h_f, h_b)
+    reversed_rows = ad.take(seq, np.arange(true_length)[::-1])
+    return ad.concat_last_axis(recurrent_forward(seq, true_length, fwd),
+                               recurrent_forward(reversed_rows, true_length, bwd))
 
 
 def cnn_forward(seq: Tensor, true_length: int, p: CnnParams) -> Tensor:

@@ -25,6 +25,7 @@ from .corpus import LabeledRecord, SplitDataset
 from .errors import (
     CorruptCheckpoint,
     EmptySplit,
+    InvalidConfig,
     NonfiniteLoss,
     ShapeMismatch,
     VersionUnsupported,
@@ -52,14 +53,16 @@ class TrainConfig:
     select_best_by: str = "validation_accuracy"
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise InvalidConfig(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("batch_size and epochs must be >= 1")
+            raise InvalidConfig("batch_size and epochs must be >= 1")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
+            raise InvalidConfig(f"optimizer must be one of {OPTIMIZERS}")
         if self.select_best_by not in BEST_BY:
-            raise ValueError(f"select_best_by must be one of {BEST_BY}")
+            raise InvalidConfig(f"select_best_by must be one of {BEST_BY}")
 
 
 @dataclass
@@ -198,13 +201,10 @@ def load_checkpoint(source: str | Path | BinaryIO) -> ModelCheckpoint:
         raise CorruptCheckpoint(f"bad embedded config: {exc}") from None
     vocab = Vocabulary.from_tsv(vocab_text, max_size=config.vocab_size)
 
-    expected = models.expected_parameter_shapes(config)
-    if set(tensors) != set(expected):
-        raise CorruptCheckpoint("tensor names do not match the embedded config")
-    for name, shape in expected.items():
-        if tuple(tensors[name].shape) != shape:
-            raise CorruptCheckpoint(
-                f"{name}: declared shape {tuple(tensors[name].shape)} != expected {shape}")
+    try:
+        models.check_parameter_shapes(config, tensors)
+    except ShapeMismatch as exc:
+        raise CorruptCheckpoint(f"tensors do not match the embedded config: {exc}") from None
     return ModelCheckpoint(config, vocab, stopwords, truncate, tensors, epoch, version)
 
 
@@ -295,6 +295,11 @@ def train(model_config: ModelConfig, train_config: TrainConfig, split: SplitData
 
         train_loss, train_acc = _dataset_metrics(params, train_seqs, train_labels)
         val_loss, val_acc = _dataset_metrics(params, val_seqs, val_labels)
+        # the per-batch check sees each loss before its step, so a step that
+        # poisons the parameters shows first here
+        if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
+            raise NonfiniteLoss(f"scoring loss is non-finite after epoch {epoch}: "
+                                f"train {train_loss}, validation {val_loss}")
         record = EpochRecord(epoch, train_loss, train_acc, val_loss, val_acc)
         history.append(record)
         if _improved(record, best, train_config.select_best_by):

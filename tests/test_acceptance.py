@@ -196,28 +196,30 @@ def test_criterion_6_end_to_end_determinism(tmp_path, capsys):
     mapping.write_text("acme airlines\tCommercial\nair force\tMilitary\n"
                        "weekend flyer\tPrivate\n", encoding="utf-8")
 
-    def pipeline(tag: str) -> tuple[bytes, bytes]:
-        prep = tmp_path / f"prep-{tag}"
-        run = tmp_path / f"run-{tag}"
-        ev = tmp_path / f"eval-{tag}"
+    def pipeline(arch: str, tag: str) -> tuple[bytes, bytes, bytes]:
+        prep = tmp_path / f"prep-{arch}-{tag}"
+        run = tmp_path / f"run-{arch}-{tag}"
+        ev = tmp_path / f"eval-{arch}-{tag}"
         assert cli_main(["prepare", "--input", str(data_csv), "--mapping",
                          str(mapping), "--out", str(prep), "--seed", "5",
                          "--max-len", "8"]) == 0
-        assert cli_main(["train", "--data", str(prep), "--arch", "lstm",
+        assert cli_main(["train", "--data", str(prep), "--arch", arch,
                          "--epochs", "3", "--seed", "9", "--out", str(run),
                          "--embedding-dim", "8", "--hidden-units", "8",
-                         "--head-units", "8"]) == 0
+                         "--head-units", "8", "--conv-filters", "8",
+                         "--conv-kernel", "3"]) == 0
         assert cli_main(["evaluate", "--checkpoint", str(run / "checkpoint.atxc"),
                          "--data", str(prep), "--split", "test",
                          "--out", str(ev)]) == 0
-        return (run / "history.csv").read_bytes(), (ev / "report.json").read_bytes()
+        return tuple(path.read_bytes() for path in (
+            run / "history.csv", run / "checkpoint.atxc", ev / "report.json"))
 
-    first = pipeline("a")
-    second = pipeline("b")
+    differing = [arch for arch in models.ARCHITECTURES
+                 if pipeline(arch, "a") != pipeline(arch, "b")]
     capsys.readouterr()  # drop pipeline stdout
-    ok = first[0] == second[0] and first[1] == second[1]
-    verdict(6, ok, "two seeded prepare->train->evaluate runs produced "
-                   "byte-identical history.csv and report.json")
+    verdict(6, not differing, "two seeded prepare->train->evaluate runs per "
+                              "architecture produced byte-identical history.csv, "
+                              f"checkpoint.atxc and report.json (differing: {differing})")
 
 
 class TestCriterion7PreprocessingContract:

@@ -57,16 +57,6 @@ class TestPrimitiveValues:
             assert np.all(y >= 0)
             np.testing.assert_allclose(y.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
 
-    def test_primitive_forward_dispatch(self):
-        assert set(ad.PRIMITIVES) == {
-            "matmul", "add", "mul", "concat_last_axis", "slice", "sum", "mean",
-            "tanh", "sigmoid", "relu", "softmax_last_axis", "max_over_axis"}
-        out = ad.primitive_forward("matmul", Tensor(np.eye(2)), Tensor(np.ones((2, 2))))
-        np.testing.assert_array_equal(out.data, np.ones((2, 2)))
-        assert float(ad.primitive_forward("sum", Tensor([1.0, 2.0])).data) == 3.0
-        with pytest.raises(ShapeMismatch):
-            ad.primitive_forward("convolve", Tensor([1.0]))
-
     def test_concat_and_take(self):
         a, b = Tensor([1.0, 2.0]), Tensor([3.0])
         np.testing.assert_array_equal(ad.concat_last_axis(a, b).data, [1, 2, 3])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from aerotext.cli import main
+from aerotext.training import TrainConfig
 
 from conftest import FIXTURE_CSV
 
@@ -166,6 +167,51 @@ class TestTrain:
                             "--out", "y"], capsys)
         assert code == 1
         assert "usage" in err
+
+    def test_poisoned_final_step_aborts_without_checkpoint(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # one batch per epoch: the per-batch loss check runs before the step,
+        # so only the end-of-epoch scoring can see what a NaN rate did
+        prepared = prepare_dir(tmp_path, capsys)
+        monkeypatch.setattr(TrainConfig, "__post_init__", lambda self: None)
+        out = tmp_path / "run"
+        code, stdout, err = run(["train", "--data", str(prepared), "--arch", "cnn",
+                                 "--epochs", "2", "--lr", "nan", "--batch-size", "64",
+                                 "--out", str(out)], capsys)
+        assert code == 1
+        assert err.startswith("error:") and "epoch 1" in err
+        assert stdout == ""
+        assert not (out / "checkpoint.atxc").exists()
+
+
+@pytest.mark.parametrize("command, extra, env_seed", [
+    ("train", ["--lr", "0"], None),
+    ("train", ["--lr", "nan"], None),
+    ("train", ["--dropout", "1.5"], None),
+    ("train", ["--arch", "cnn", "--conv-kernel", "500"], None),
+    ("train", ["--batch-size", "0"], None),
+    ("train", ["--seed", "-1"], None),
+    ("prepare", ["--vocab-size", "0"], None),
+    ("prepare", ["--max-len", "0"], None),
+    ("prepare", [], "abc"),
+], ids=["lr-0", "lr-nan", "dropout-1.5", "conv-kernel-500", "batch-size-0",
+        "seed--1", "vocab-size-0", "max-len-0", "env-seed-abc"])
+def test_config_error_exits_1_with_one_error_line(tmp_path, capsys, monkeypatch,
+                                                  command, extra, env_seed):
+    out = tmp_path / "out"
+    if command == "train":
+        argv = ["train", "--data", str(prepare_dir(tmp_path, capsys)),
+                "--arch", "srnn", "--epochs", "1", "--out", str(out)]
+    else:
+        argv = ["prepare", "--input", str(write_keyword_csv(tmp_path / "data.csv")),
+                "--mapping", str(write_mapping(tmp_path / "map.tsv")), "--out", str(out)]
+    if env_seed is not None:
+        monkeypatch.setenv("AEROTEXT_SEED", env_seed)
+    code, stdout, err = run(argv + extra, capsys)
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1, err
+    assert not out.exists()
 
 
 class TestEvaluate:

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -349,6 +351,23 @@ class TestInit:
                 continue
             bound = bounds.get(name, gate_bound)
             assert np.all(np.abs(t.data) <= bound), name
+
+    @pytest.mark.parametrize("arch", models.ARCHITECTURES)
+    def test_parameters_are_freed_without_the_cycle_collector(self, arch):
+        # every training run and checkpoint load builds a full parameter set;
+        # a reference cycle would keep its tensors and gradients alive until
+        # the cyclic collector happens to run
+        gc.disable()
+        try:
+            params = init_params(mini_config(arch), seed=0)
+            rebuilt = models.build_params(
+                params.config, {name: t.data for name, t in named_parameters(params)})
+            refs = [weakref.ref(t.data)
+                    for p in (params, rebuilt) for _, t in named_parameters(p)]
+            del params, rebuilt
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
 
     def test_padding_row_starts_at_zero(self):
         params = init_params(mini_config("cnn"), seed=2)

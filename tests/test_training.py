@@ -12,6 +12,7 @@ from aerotext.errors import (
     CorruptCheckpoint,
     EmptySplit,
     NonfiniteLoss,
+    ShapeMismatch,
     VersionUnsupported,
 )
 from aerotext.models import ModelConfig
@@ -253,8 +254,9 @@ class TestCheckpointIo:
         return ModelCheckpoint(config, vocab, frozenset({"the", "and"}), "head",
                                tensors, epoch=4)
 
-    def test_round_trip_bit_exact(self, tmp_path):
-        ckpt = self.make_checkpoint()
+    @pytest.mark.parametrize("arch", models.ARCHITECTURES)
+    def test_round_trip_bit_exact(self, tmp_path, arch):
+        ckpt = self.make_checkpoint(arch)
         path = tmp_path / "model.atxc"
         save_checkpoint(ckpt, path)
         loaded = load_checkpoint(path)
@@ -295,23 +297,36 @@ class TestCheckpointIo:
         with pytest.raises(VersionUnsupported):
             load_checkpoint(io.BytesIO(bytes(raw)))
 
-    def test_shape_mismatch_is_corrupt(self):
-        ckpt = self.make_checkpoint()
-        ckpt.tensors["head.b2"] = np.zeros(7)
+    @pytest.mark.parametrize("fault", ["shape", "missing", "extra"])
+    @pytest.mark.parametrize("arch", models.ARCHITECTURES)
+    def test_shape_mismatch_is_corrupt(self, arch, fault):
+        ckpt = self.make_checkpoint(arch)
+        if fault == "shape":
+            ckpt.tensors["head.b2"] = np.zeros(7)
+        elif fault == "missing":
+            del ckpt.tensors[list(ckpt.tensors)[1]]  # the first cell tensor
+        else:
+            ckpt.tensors["head.b3"] = np.zeros(3)
+        with pytest.raises(ShapeMismatch):
+            models.build_params(ckpt.config, ckpt.tensors)
         buf = io.BytesIO()
         save_checkpoint(ckpt, buf)
         with pytest.raises(CorruptCheckpoint):
             load_checkpoint(io.BytesIO(buf.getvalue()))
 
-    def test_params_round_trip_through_checkpoint(self, tmp_path):
-        ckpt = self.make_checkpoint("cnn")
+    @pytest.mark.parametrize("arch", models.ARCHITECTURES)
+    def test_params_round_trip_through_checkpoint(self, tmp_path, arch):
+        ckpt = self.make_checkpoint(arch)
         path = tmp_path / "model.atxc"
         save_checkpoint(ckpt, path)
         params = training.params_from_checkpoint(load_checkpoint(path))
+        assert [name for name, _ in models.named_parameters(params)] == list(ckpt.tensors)
         seq = TokenSequence([2, 3, 4, 0, 0, 0, 0, 0], 3)
         probs = models.forward_probs(params, seq)
         assert probs.shape == (3,)
         assert abs(probs.sum() - 1.0) < 1e-12
+        np.testing.assert_array_equal(
+            probs, models.forward_probs(models.init_params(ckpt.config, seed=9), seq))
 
 
 class TestHistoryCsv:
