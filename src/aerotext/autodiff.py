@@ -15,13 +15,16 @@ Primitive shape rules (anything else raises ShapeMismatch):
     mul                 equal shapes only
     concat_last_axis    equal shapes except along the last axis
     take                int, slice, or 1-d integer-array row gather
-    sum_all / mean_all  any shape -> scalar
+    sum_all             any shape -> scalar
     tanh/sigmoid/relu   elementwise
-    softmax_last_axis   normalizes along the last axis (max-subtracted)
     max_over_axis       reduces one axis; ties route gradient to the
                         first maximum
     softmax_cross_entropy   1-d logits + class index -> scalar loss with
                         the exact (p - onehot) gradient
+
+`softmax` and `cross_entropy` are the plain-numpy values that the loss and
+the scorer share. Inside `no_grad()` no primitive records a node, whatever
+its inputs' flags; the package is single-threaded, so one flag does it.
 
 There is no implicit broadcasting beyond the bias add: shape surprises
 here are bugs, not features. All data is 64-bit IEEE-754.
@@ -29,8 +32,10 @@ here are bugs, not features. All data is 64-bit IEEE-754.
 
 from __future__ import annotations
 
+import math
 import struct
-from typing import BinaryIO, Callable, Sequence
+from contextlib import contextmanager
+from typing import BinaryIO, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -53,10 +58,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def zero_grad(self) -> None:
         self.grad = np.zeros_like(self.data)
 
@@ -65,31 +66,33 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         self.grad += g
 
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def __getitem__(self, key) -> "Tensor":
-        return take(self, key)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
 
 
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)
+def zeros(shape) -> Tensor:
+    return Tensor(np.zeros(shape))
+
+
+_recording = True
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Record no node inside the block, so its outputs hold no tape."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...],
           backward_fn: Callable[[np.ndarray], None]) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward_fn
@@ -200,14 +203,6 @@ def sum_all(t: Tensor) -> Tensor:
     return _node(t.data.sum(), (t,), back)
 
 
-def mean_all(t: Tensor) -> Tensor:
-    n = t.size
-
-    def back(g):
-        t._accumulate(np.full(t.shape, float(g) / n))
-    return _node(t.data.mean(), (t,), back)
-
-
 # --- nonlinearities -------------------------------------------------------
 
 def tanh(t: Tensor) -> Tensor:
@@ -220,8 +215,8 @@ def tanh(t: Tensor) -> Tensor:
 
 def sigmoid(t: Tensor) -> Tensor:
     x = t.data
-    y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def back(g):
         t._accumulate(g * y * (1.0 - y))
@@ -232,22 +227,6 @@ def relu(t: Tensor) -> Tensor:
     def back(g):
         t._accumulate(g * (t.data > 0))
     return _node(np.maximum(t.data, 0.0), (t,), back)
-
-
-def _stable_softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def softmax_last_axis(t: Tensor) -> Tensor:
-    if t.shape == () or t.shape[-1] < 1:
-        raise ShapeMismatch(f"softmax_last_axis: need a last axis, got {t.shape}")
-    y = _stable_softmax(t.data)
-
-    def back(g):
-        t._accumulate(y * (g - (g * y).sum(axis=-1, keepdims=True)))
-    return _node(y, (t,), back)
 
 
 def max_over_axis(t: Tensor, axis: int) -> Tensor:
@@ -262,19 +241,29 @@ def max_over_axis(t: Tensor, axis: int) -> Tensor:
     return _node(t.data.max(axis=axis), (t,), back)
 
 
-def softmax_cross_entropy(logits: Tensor, label: int) -> Tensor:
-    """Fused -log(softmax(logits)[label]) with the exact p - onehot gradient.
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Probabilities along the last axis, max-subtracted for stability."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
 
-    The probability is clamped at 1e-12 so a fully-wrong prediction
-    yields a large finite loss instead of infinity.
-    """
+
+def cross_entropy(probs: np.ndarray, label: int) -> float:
+    """-ln(probs[label]), with the probability clamped at 1e-12 so a fully
+    wrong prediction yields a large finite loss instead of infinity."""
+    return -math.log(max(float(probs[int(label)]), 1e-12))
+
+
+def softmax_cross_entropy(logits: Tensor, label: int) -> Tensor:
+    """Fused cross_entropy(softmax(logits), label) with the exact p - onehot
+    gradient. The gradient does not pass through the clamp."""
     if len(logits.shape) != 1:
         raise ShapeMismatch(f"softmax_cross_entropy: logits must be 1-d, got {logits.shape}")
     label = int(label)
     if not 0 <= label < logits.shape[0]:
         raise ValueError(f"label {label} out of range for {logits.shape[0]} classes")
-    p = _stable_softmax(logits.data)
-    loss = -np.log(max(p[label], 1e-12))
+    p = softmax(logits.data)
+    loss = cross_entropy(p, label)
 
     def back(g):
         gl = p.copy()

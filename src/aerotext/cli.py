@@ -29,7 +29,7 @@ from .corpus import (
     ingest_records,
     split_dataset,
 )
-from .errors import AerotextError, InvalidConfig
+from .errors import AerotextError, InvalidConfig, MalformedCsv
 from .models import ARCHITECTURES, ModelConfig
 from .textprep import (
     DEFAULT_MAX_LEN,
@@ -106,8 +106,16 @@ def _read_split_csv(path: Path) -> list[LabeledRecord]:
         reader = csv.reader(handle)
         next(reader, None)
         for row in reader:
-            if row:
-                records.append(LabeledRecord(OperatorClass.from_name(row[0]), row[1]))
+            if not row:
+                continue
+            where = f"{path}:{reader.line_num}"
+            if len(row) != 2:
+                raise MalformedCsv(f"{where}: expected 2 fields (label, summary), got {len(row)}")
+            try:
+                label = OperatorClass.from_name(row[0])
+            except ValueError as exc:
+                raise MalformedCsv(f"{where}: {exc}") from None
+            records.append(LabeledRecord(label, row[1]))
     return records
 
 

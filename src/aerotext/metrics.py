@@ -121,7 +121,7 @@ class Predictor:
 
     def __init__(self, checkpoint: ModelCheckpoint):
         self.checkpoint = checkpoint
-        self.params = training.params_from_checkpoint(checkpoint, requires_grad=False)
+        self.params = training.params_from_checkpoint(checkpoint)
 
     def probs(self, text: str) -> np.ndarray:
         ckpt = self.checkpoint

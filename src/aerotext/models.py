@@ -256,12 +256,11 @@ def named_parameters(params: ModelParams) -> list[tuple[str, Tensor]]:
     return named
 
 
-def build_params(config: ModelConfig, arrays: Mapping[str, np.ndarray],
-                 requires_grad: bool = True) -> ModelParams:
+def build_params(config: ModelConfig, arrays: Mapping[str, np.ndarray]) -> ModelParams:
     """Assemble ModelParams from named arrays, validating names and shapes."""
     check_parameter_shapes(config, arrays)
     return _assemble(config, {name: Tensor(np.array(array, dtype=np.float64),
-                                           requires_grad=requires_grad)
+                                           requires_grad=True)
                               for name, array in arrays.items()})
 
 
@@ -365,14 +364,9 @@ def head_logits(features: Tensor, head: HeadParams,
     return ad.add(ad.matmul(head.w2, hidden), head.b2)
 
 
-def classify(features: Tensor, head: HeadParams) -> Tensor:
-    """Probability vector over the 3 classes (sums to 1)."""
-    return ad.softmax_last_axis(head_logits(features, head))
-
-
 def predict_class(probs) -> OperatorClass:
     """Argmax with ties broken toward the lowest index."""
-    values = probs.data if isinstance(probs, Tensor) else np.asarray(probs)
+    values = np.asarray(probs)
     if values.shape != (NUM_CLASSES,):
         raise ShapeMismatch(f"expected {NUM_CLASSES} probabilities, got shape {values.shape}")
     return OperatorClass(int(np.argmax(values)))
@@ -399,5 +393,10 @@ def encode_features(params: ModelParams, seq: TokenSequence) -> Tensor:
 
 
 def forward_probs(params: ModelParams, seq: TokenSequence) -> np.ndarray:
-    """Convenience inference path: probabilities as a plain array."""
-    return classify(encode_features(params, seq), params.head).data
+    """The one scorer: the 3-class probability vector as a plain array.
+
+    Training's scoring pass, evaluation and prediction all call this; it
+    records no tape, even on parameters that require grad.
+    """
+    with ad.no_grad():
+        return ad.softmax(head_logits(encode_features(params, seq), params.head).data)

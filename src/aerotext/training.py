@@ -74,12 +74,6 @@ class EpochRecord:
     validation_accuracy: float
 
 
-def cross_entropy(probs, label) -> float:
-    """-ln(probs[label]), clamped at 1e-12 so degenerate rows stay finite."""
-    p = float(np.asarray(probs)[int(label)])
-    return -math.log(max(p, 1e-12))
-
-
 # --- optimizers ---------------------------------------------------------------
 
 class Sgd:
@@ -199,7 +193,14 @@ def load_checkpoint(source: str | Path | BinaryIO) -> ModelCheckpoint:
         config = ModelConfig(**meta)
     except (TypeError, ValueError) as exc:
         raise CorruptCheckpoint(f"bad embedded config: {exc}") from None
-    vocab = Vocabulary.from_tsv(vocab_text, max_size=config.vocab_size)
+    try:
+        vocab = Vocabulary.from_tsv(vocab_text, max_size=config.vocab_size)
+    except ValueError as exc:
+        raise CorruptCheckpoint(f"bad embedded vocabulary: {exc}") from None
+    ids = list(vocab.token_to_id.values())
+    if len(set(ids)) != len(ids) or not all(2 <= i <= config.vocab_size + 1 for i in ids):
+        raise CorruptCheckpoint("embedded vocabulary ids must be unique and in "
+                                f"[2, {config.vocab_size + 1}]")
 
     try:
         models.check_parameter_shapes(config, tensors)
@@ -208,8 +209,8 @@ def load_checkpoint(source: str | Path | BinaryIO) -> ModelCheckpoint:
     return ModelCheckpoint(config, vocab, stopwords, truncate, tensors, epoch, version)
 
 
-def params_from_checkpoint(ckpt: ModelCheckpoint, requires_grad: bool = False) -> ModelParams:
-    return models.build_params(ckpt.config, ckpt.tensors, requires_grad=requires_grad)
+def params_from_checkpoint(ckpt: ModelCheckpoint) -> ModelParams:
+    return models.build_params(ckpt.config, ckpt.tensors)
 
 
 # --- the loop -------------------------------------------------------------------
@@ -225,7 +226,7 @@ def _dataset_metrics(params: ModelParams, sequences: Sequence[TokenSequence],
     correct = 0
     for seq, label in zip(sequences, labels):
         probs = models.forward_probs(params, seq)
-        total_loss += cross_entropy(probs, label)
+        total_loss += ad.cross_entropy(probs, label)
         if int(np.argmax(probs)) == label:
             correct += 1
     n = len(sequences)

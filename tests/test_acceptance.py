@@ -64,7 +64,7 @@ def random_mini_instance(arch: str, seed: int):
                          conv_filters=6, conv_kernel=3)
     arrays = {name: rng.uniform(-1.0, 1.0, shape)
               for name, shape in models.expected_parameter_shapes(config).items()}
-    params = models.build_params(config, arrays, requires_grad=True)
+    params = models.build_params(config, arrays)
     true_length = int(rng.integers(3, 9))
     ids = [int(rng.integers(2, 22)) for _ in range(true_length)]
     ids += [0] * (10 - true_length)

@@ -14,8 +14,8 @@ def leaf(data):
 
 class TestPrimitiveValues:
     def test_softmax_of_zeros_is_uniform(self):
-        out = ad.softmax_last_axis(Tensor([0.0, 0.0, 0.0]))
-        np.testing.assert_allclose(out.data, [1 / 3, 1 / 3, 1 / 3], rtol=0, atol=1e-15)
+        out = ad.softmax(np.zeros(3))
+        np.testing.assert_allclose(out, [1 / 3, 1 / 3, 1 / 3], rtol=0, atol=1e-15)
 
     def test_matmul_identity(self):
         a = np.arange(8.0).reshape(2, 4)
@@ -53,7 +53,7 @@ class TestPrimitiveValues:
         rng = np.random.default_rng(0)
         for _ in range(200):
             x = rng.uniform(-1e3, 1e3, size=(4, 5))
-            y = ad.softmax_last_axis(Tensor(x)).data
+            y = ad.softmax(x)
             assert np.all(y >= 0)
             np.testing.assert_allclose(y.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
 
@@ -145,6 +145,22 @@ class TestBackward:
         assert float(x.grad) == 5001.0
 
 
+class TestNoGrad:
+    def test_records_nothing_inside_the_block(self):
+        w = leaf([1.0, 2.0])
+        with ad.no_grad():
+            out = ad.sum_all(ad.mul(w, w))
+        assert not out.requires_grad and out._parents == ()
+        assert ad.sum_all(ad.mul(w, w)).requires_grad
+
+    def test_recording_resumes_after_an_exception(self):
+        w = leaf([1.0, 2.0])
+        with pytest.raises(ShapeMismatch):
+            with ad.no_grad():
+                ad.mul(w, leaf([1.0]))
+        assert ad.mul(w, w).requires_grad
+
+
 class TestGradientCheck:
     def test_linear_map(self):
         rng = np.random.default_rng(1)
@@ -178,8 +194,8 @@ class TestGradientCheck:
         def fn():
             h = ad.tanh(ad.matmul(a, b))
             h = ad.add(h, v)
-            h = ad.softmax_last_axis(h)
-            return ad.mean_all(ad.mul(h, h))
+            return ad.add(ad.sum_all(ad.mul(h, h)),
+                          ad.softmax_cross_entropy(ad.take(h, 1), 0))
 
         assert ad.gradient_check(fn, [a, b, v]) < 1e-6
 
@@ -204,8 +220,7 @@ def _random_graph_error(seed: int) -> float:
     for _ in range(int(rng.integers(2, 7))):
         kind = int(rng.integers(6))
         plan.append((kind, new_leaf() if kind in (3, 4) else None))
-    # final weighting keeps the loss non-constant even if the last op is a
-    # softmax (whose rows always sum to 1 under the mean)
+    # a final elementwise weight, so the loss is not a plain sum of the last op
     weight = new_leaf()
 
     def build():
@@ -216,14 +231,14 @@ def _random_graph_error(seed: int) -> float:
             elif kind == 1:
                 x = ad.sigmoid(x)
             elif kind == 2:
-                x = ad.softmax_last_axis(x)
+                x = ad.take(x, [1, 0])  # row-reversing gather, as the BLSTM uses
             elif kind == 3:
                 x = ad.mul(x, partner)
             elif kind == 4:
                 x = ad.add(x, partner)
             else:
                 x = ad.relu(x)
-        return ad.mean_all(ad.mul(x, weight))
+        return ad.sum_all(ad.mul(x, weight))
 
     return ad.gradient_check(build, leaves)
 

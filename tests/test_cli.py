@@ -214,6 +214,24 @@ def test_config_error_exits_1_with_one_error_line(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("row", ["Civil,engine fire on climb", "Military"],
+                         ids=["unknown-label", "one-field"])
+def test_bad_split_row_exits_1_with_one_error_line(tmp_path, capsys, row):
+    prepared = prepare_dir(tmp_path, capsys)
+    train_csv = prepared / "train.csv"
+    lines = train_csv.read_text(encoding="utf-8").splitlines()
+    lines[2] = row
+    train_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "run"
+    code, stdout, err = run(["train", "--data", str(prepared), "--arch", "srnn",
+                             "--epochs", "1", "--out", str(out)], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1, err
+    assert f"{train_csv}:3:" in err
+    assert not out.exists()
+
+
 class TestEvaluate:
     def test_overfit_model_prints_accuracy_1(self, tmp_path, capsys):
         prepared = prepare_dir(tmp_path, capsys)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from aerotext import autodiff as ad
 from aerotext import models, training
 from aerotext.corpus import LabeledRecord, OperatorClass
 from aerotext.errors import EmptyInput, EmptyMatrix, LengthMismatch
@@ -18,6 +19,7 @@ from aerotext.models import ModelConfig
 from aerotext.textprep import fit_vocabulary
 from aerotext.training import EpochRecord, ModelCheckpoint
 
+from conftest import synthetic_corpus
 from oracles import report_from_lists
 
 C, M, P = OperatorClass.COMMERCIAL, OperatorClass.MILITARY, OperatorClass.PRIVATE
@@ -187,6 +189,29 @@ class TestEvaluateModel:
         label, probs = predictor.predict("CLASS1, token0!!")
         assert label is OperatorClass.MILITARY
         assert abs(probs.sum() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("arch", models.ARCHITECTURES)
+def test_scoring_pass_agrees_with_predictor_and_evaluate(arch):
+    # the per-epoch scoring pass, Predictor and evaluate_model share one
+    # scorer, so the history curves and the reports cannot drift apart
+    split = synthetic_corpus(n_per_class=4, extra_per_class=2, seed=5)
+    vocab = fit_vocabulary([r.summary for r in split.train], max_size=50)
+    config = ModelConfig(arch=arch, vocab_size=vocab.size, embedding_dim=6,
+                         hidden_units=6, head_units=6, max_len=10,
+                         conv_filters=6, conv_kernel=2)
+    ckpt, _ = training.train(config, training.TrainConfig(epochs=2, batch_size=4,
+                                                          learning_rate=0.05, seed=3),
+                             split, vocab)
+    records = split.train + split.validation
+    seqs = training._encode_all(records, vocab, config.max_len, ckpt.truncate)
+    labels = [int(r.label) for r in records]
+    loss, accuracy = training._dataset_metrics(training.params_from_checkpoint(ckpt),
+                                               seqs, labels)
+    predictor = Predictor(ckpt)
+    assert loss == sum(ad.cross_entropy(predictor.probs(r.summary), int(r.label))
+                       for r in records) / len(records)
+    assert accuracy == evaluate_model(ckpt, records)[1].accuracy
 
 
 class TestExports:

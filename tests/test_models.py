@@ -18,7 +18,6 @@ from aerotext.models import (
     SrnnParams,
     blstm_forward,
     cnn_forward,
-    classify,
     embedding_lookup,
     encode_features,
     init_params,
@@ -35,6 +34,10 @@ from oracles import lstm_unroll, srnn_unroll
 
 def tensor(data):
     return Tensor(np.asarray(data, dtype=np.float64))
+
+
+def head_probs(features, head):
+    return ad.softmax(models.head_logits(features, head).data)
 
 
 def mini_config(arch, vocab_size=6, d=3, h=4, head=5, max_len=6, k=2, filters=3):
@@ -272,22 +275,22 @@ class TestHead:
     def test_zero_output_layer_gives_uniform(self):
         head = HeadParams(tensor(np.zeros((4, 3))), tensor(np.zeros(4)),
                           tensor(np.zeros((3, 4))), tensor(np.zeros(3)))
-        probs = classify(tensor([1.0, -2.0, 0.5]), head)
-        np.testing.assert_allclose(probs.data, [1 / 3] * 3, atol=1e-15)
+        probs = head_probs(tensor([1.0, -2.0, 0.5]), head)
+        np.testing.assert_allclose(probs, [1 / 3] * 3, atol=1e-15)
 
     def test_log_two_bias(self):
         head = HeadParams(tensor(np.zeros((4, 2))), tensor(np.zeros(4)),
                           tensor(np.zeros((3, 4))),
                           tensor([0.0, math.log(2.0), 0.0]))
-        probs = classify(tensor([0.0, 0.0]), head)
-        np.testing.assert_allclose(probs.data, [0.25, 0.5, 0.25], atol=1e-15)
+        probs = head_probs(tensor([0.0, 0.0]), head)
+        np.testing.assert_allclose(probs, [0.25, 0.5, 0.25], atol=1e-15)
 
     def test_probabilities_normalized_and_positive(self):
         rng = np.random.default_rng(4)
         head = HeadParams(tensor(rng.uniform(-2, 2, (5, 3))), tensor(rng.uniform(-2, 2, 5)),
                           tensor(rng.uniform(-2, 2, (3, 5))), tensor(rng.uniform(-2, 2, 3)))
         for _ in range(50):
-            probs = classify(tensor(rng.uniform(-5, 5, 3)), head).data
+            probs = head_probs(tensor(rng.uniform(-5, 5, 3)), head)
             assert abs(probs.sum() - 1.0) <= 1e-12
             assert np.all(probs > 0)
 
@@ -295,7 +298,24 @@ class TestHead:
         head = HeadParams(tensor(np.zeros((4, 3))), tensor(np.zeros(4)),
                           tensor(np.zeros((3, 4))), tensor(np.zeros(3)))
         with pytest.raises(ShapeMismatch):
-            classify(tensor([1.0, 2.0]), head)
+            head_probs(tensor([1.0, 2.0]), head)
+
+
+class TestForwardProbs:
+    @pytest.mark.parametrize("arch", models.ARCHITECTURES)
+    def test_records_no_tape_on_trainable_parameters(self, arch, monkeypatch):
+        params = init_params(mini_config(arch), seed=4)
+        made = []
+        real_node = ad._node
+
+        def spy(*args):
+            made.append(real_node(*args))
+            return made[-1]
+
+        monkeypatch.setattr(ad, "_node", spy)
+        probs = models.forward_probs(params, TokenSequence([2, 3, 4, 0, 0, 0], 3))
+        assert probs.shape == (3,)
+        assert made and not any(t.requires_grad for t in made)
 
 
 class TestPredictClass:
@@ -313,8 +333,8 @@ class TestPredictClass:
         for _ in range(50):
             logits = rng.uniform(-4, 4, 3)
             shift = rng.uniform(-100, 100)
-            a = predict_class(ad.softmax_last_axis(tensor(logits)).data)
-            b = predict_class(ad.softmax_last_axis(tensor(logits + shift)).data)
+            a = predict_class(ad.softmax(logits))
+            b = predict_class(ad.softmax(logits + shift))
             assert a is b
 
 
@@ -403,7 +423,7 @@ class TestEncodeFeatures:
         rng = np.random.default_rng(21)
         arrays = {name: rng.uniform(-1.0, 1.0, shape)
                   for name, shape in models.expected_parameter_shapes(config).items()}
-        params = models.build_params(config, arrays, requires_grad=True)
+        params = models.build_params(config, arrays)
         seq = TokenSequence([2, 5, 3, 2, 0, 0], 4)
         tensors = [t for _, t in named_parameters(params)]
 

@@ -23,7 +23,6 @@ from aerotext.training import (
     ModelCheckpoint,
     Sgd,
     TrainConfig,
-    cross_entropy,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -34,14 +33,14 @@ from conftest import synthetic_corpus
 
 class TestCrossEntropy:
     def test_uniform_is_ln3(self):
-        assert cross_entropy([1 / 3, 1 / 3, 1 / 3], 1) == pytest.approx(
+        assert ad.cross_entropy(np.array([1 / 3, 1 / 3, 1 / 3]), 1) == pytest.approx(
             1.0986122886681098, abs=1e-15)
 
     def test_confident_correct_is_zero(self):
-        assert cross_entropy([0.0, 1.0, 0.0], 1) == 0.0
+        assert ad.cross_entropy(np.array([0.0, 1.0, 0.0]), 1) == 0.0
 
     def test_zero_probability_clamps(self):
-        assert cross_entropy([1.0, 0.0, 0.0], 2) == pytest.approx(
+        assert ad.cross_entropy(np.array([1.0, 0.0, 0.0]), 2) == pytest.approx(
             27.631021115928547, abs=1e-12)
 
 
@@ -297,18 +296,29 @@ class TestCheckpointIo:
         with pytest.raises(VersionUnsupported):
             load_checkpoint(io.BytesIO(bytes(raw)))
 
-    @pytest.mark.parametrize("fault", ["shape", "missing", "extra"])
+    @pytest.mark.parametrize("fault", ["shape", "missing", "extra", "duplicate-id",
+                                       "padding-id", "id-past-table", "non-integer-id"])
     @pytest.mark.parametrize("arch", models.ARCHITECTURES)
     def test_shape_mismatch_is_corrupt(self, arch, fault):
         ckpt = self.make_checkpoint(arch)
+        ids = ckpt.vocab.token_to_id
         if fault == "shape":
             ckpt.tensors["head.b2"] = np.zeros(7)
         elif fault == "missing":
             del ckpt.tensors[list(ckpt.tensors)[1]]  # the first cell tensor
-        else:
+        elif fault == "extra":
             ckpt.tensors["head.b3"] = np.zeros(3)
-        with pytest.raises(ShapeMismatch):
-            models.build_params(ckpt.config, ckpt.tensors)
+        elif fault == "duplicate-id":
+            ids["fire"] = ids["engine"]
+        elif fault == "padding-id":
+            ids["engine"] = 0
+        elif fault == "id-past-table":
+            ids["engine"] = ckpt.config.vocab_size + 2
+        else:
+            ckpt.vocab.token_to_id = {"engine": "2.5"}
+        if fault in ("shape", "missing", "extra"):
+            with pytest.raises(ShapeMismatch):
+                models.build_params(ckpt.config, ckpt.tensors)
         buf = io.BytesIO()
         save_checkpoint(ckpt, buf)
         with pytest.raises(CorruptCheckpoint):
