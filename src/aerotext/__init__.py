@@ -3,9 +3,10 @@
 The pipeline ingests operator/narrative CSV records, annotates operators
 into Commercial/Military/Private via an external mapping, preprocesses
 narratives into fixed-length id sequences, trains one of four
-from-scratch sequence models (sRNN, LSTM, BLSTM, CNN) with reverse-mode
-gradients, and emits the full evaluation suite (classification report,
-confusion matrix, macro averages, training curves) as plot-ready data.
+from-scratch sequence models (sRNN, LSTM, BLSTM, CNN) with a hand-derived
+backward per layer, and emits the full evaluation suite (classification
+report, confusion matrix, macro averages, training curves) as plot-ready
+data.
 """
 
 __version__ = "0.1.0"

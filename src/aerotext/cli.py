@@ -193,15 +193,30 @@ def cmd_prepare(args) -> int:
 # --- train ---------------------------------------------------------------------
 
 def _load_prepared(data_dir: Path) -> dict:
-    manifest = json.loads((data_dir / "manifest.json").read_text(encoding="utf-8"))
-    prep = manifest["config"]
+    manifest_path = data_dir / "manifest.json"
+    try:
+        prep = json.loads(manifest_path.read_text(encoding="utf-8"))["config"]
+        max_len, truncate = prep["max_len"], prep["truncate"]
+    except ValueError as exc:
+        raise InvalidConfig(f"{manifest_path}: not valid JSON: {exc}") from None
+    except (KeyError, TypeError) as exc:
+        raise InvalidConfig(f"{manifest_path}: no prepare config with max_len and "
+                            f"truncate ({type(exc).__name__}: {exc})") from None
+    if type(max_len) is not int or truncate not in ("head", "tail"):
+        raise InvalidConfig(f"{manifest_path}: expected an integer max_len and a truncate of "
+                            f"'head' or 'tail', got {max_len!r} and {truncate!r}")
+    vocab_path = data_dir / "vocab.tsv"
+    try:
+        vocab = Vocabulary.load(vocab_path)
+    except ValueError as exc:
+        raise MalformedCsv(f"{vocab_path}: {exc}") from None
     return {
         "splits": {name: _read_split_csv(data_dir / filename)
                    for name, filename in SPLIT_FILES.items()},
-        "vocab": Vocabulary.load(data_dir / "vocab.tsv"),
+        "vocab": vocab,
         "stopwords": load_stopwords(data_dir / "stopwords.txt"),
-        "max_len": prep["max_len"],
-        "truncate": prep["truncate"],
+        "max_len": max_len,
+        "truncate": truncate,
     }
 
 

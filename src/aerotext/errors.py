@@ -38,21 +38,11 @@ class EmptyCorpus(AerotextError):
     pass
 
 
-# --- autodiff -------------------------------------------------------------
+# --- models ---------------------------------------------------------------
 
 class ShapeMismatch(AerotextError):
     pass
 
-
-class NotScalarLoss(AerotextError):
-    pass
-
-
-class DisconnectedLoss(AerotextError):
-    pass
-
-
-# --- models ---------------------------------------------------------------
 
 class IdOutOfRange(AerotextError):
     pass

@@ -120,14 +120,14 @@ class Predictor:
     """Applies a checkpoint's full preprocessing and forward pass to raw text."""
 
     def __init__(self, checkpoint: ModelCheckpoint):
+        models.check_parameter_shapes(checkpoint.config, checkpoint.tensors)
         self.checkpoint = checkpoint
-        self.params = training.params_from_checkpoint(checkpoint)
 
     def probs(self, text: str) -> np.ndarray:
         ckpt = self.checkpoint
         cleansed = cleanse_text(text, ckpt.stopwords)
         seq = encode_sequence(cleansed, ckpt.vocab, ckpt.config.max_len, ckpt.truncate)
-        return models.forward_probs(self.params, seq)
+        return models.forward_probs(ckpt.config, ckpt.tensors, seq)
 
     def predict(self, text: str) -> tuple[OperatorClass, np.ndarray]:
         probs = self.probs(text)

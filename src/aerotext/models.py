@@ -1,9 +1,10 @@
-"""The four sequence architectures as pure forward functions.
+"""The four sequence architectures as fixed layer chains, with a
+hand-derived backward per layer.
 
-All share the same skeleton: an embedding layer turns token ids into a
-T x d matrix, an architecture-specific encoder reduces it to a feature
-vector, and a ReLU hidden head plus softmax output produces the 3-class
-probability vector. Recurrent encoders iterate only over the true
+All share the same skeleton: an embedding layer turns token ids into
+d-vectors, an architecture-specific encoder reduces each record to a
+feature vector, and a ReLU hidden head plus softmax output produces the
+3-class probability vector. Recurrent encoders iterate only over the true
 (pre-padding) length and return the final state; the convolutional
 encoder slides over the whole padded sequence and global-max-pools.
 
@@ -16,25 +17,39 @@ State updates:
             h_t   = o * tanh(c_t)
     BLSTM   concat(final h of forward pass, final h of reversed pass)
     CNN     relu(valid 1-d convolution + bias), max over positions
+
+Parameters are one dict of arrays keyed by the `parameter_table` names,
+which are the checkpoint names. Each layer function returns its output and
+a closure, `back`, that maps the gradient of that output to the gradients
+of the layer's input and parameters. `loss_and_grads` chains the layers
+over a training batch; `forward_probs` runs the same forward on one record.
+
+Recurrent layers are length-packed: the batch is sorted longest first and
+laid out step-major, so step t touches only the rows still running. The
+input projection of every step is one matrix product before the loop, and
+the four LSTM gate matrices are concatenated into one on each call
+(Appleyard et al., arXiv:1604.01946). The CNN is k shifted matrix products,
+a ReLU and a max-pool (Kim, arXiv:1408.5882).
 """
 
 from __future__ import annotations
 
 import math
-import typing
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .corpus import OperatorClass
 from .errors import IdOutOfRange, InvalidConfig, KernelTooLarge, ShapeMismatch
 from .textprep import TokenSequence
 
 ARCHITECTURES = ("cnn", "srnn", "lstm", "blstm")
 NUM_CLASSES = 3
+LSTM_GATES = "fiog"  # gate order of the LSTM parameter names and of the fused matrix
+
+Params = dict[str, np.ndarray]
 
 
 @dataclass
@@ -82,64 +97,7 @@ class ModelConfig:
         }
 
 
-@dataclass
-class EmbeddingParams:
-    table: Tensor  # (V+2, d); rows 0 and 1 are the padding and OOV rows
-
-
-@dataclass
-class SrnnParams:
-    w: Tensor  # (H, H+d)
-    b: Tensor  # (H,)
-
-
-@dataclass
-class LstmParams:
-    w_f: Tensor
-    w_i: Tensor
-    w_o: Tensor
-    w_g: Tensor  # each (H, H+d)
-    b_f: Tensor
-    b_i: Tensor
-    b_o: Tensor
-    b_g: Tensor  # each (H,)
-
-
-@dataclass
-class BlstmParams:
-    fwd: LstmParams
-    bwd: LstmParams
-
-
-@dataclass
-class CnnParams:
-    # filters laid out (k, d, F): filters[j] is the (d, F) weight slab for
-    # window offset j, so the convolution is a sum of plain matmuls.
-    filters: Tensor
-    bias: Tensor  # (F,)
-
-
-@dataclass
-class HeadParams:
-    w1: Tensor  # (head_units, feature_size)
-    b1: Tensor  # (head_units,)
-    w2: Tensor  # (3, head_units)
-    b2: Tensor  # (3,)
-
-
-@dataclass
-class ModelParams:
-    config: ModelConfig
-    embedding: EmbeddingParams
-    cell: SrnnParams | LstmParams | BlstmParams | CnnParams
-    head: HeadParams
-
-
 # --- the parameter table ----------------------------------------------------
-
-CELL_TYPES = {"cnn": CnnParams, "srnn": SrnnParams, "lstm": LstmParams,
-              "blstm": BlstmParams}
-
 
 @dataclass(frozen=True)
 class ParamSpec:
@@ -174,18 +132,17 @@ class ParamSpec:
 def parameter_table(config: ModelConfig) -> list[ParamSpec]:
     """Every parameter tensor of the configured model, in checkpoint order.
 
-    A name's dotted path is its attribute path in ModelParams, with the
-    architecture name standing for `cell`. Initialization draws from the
-    seeded generator in this order, so the order fixes the initial values.
+    Initialization draws from the seeded generator in this order, so the
+    order fixes the initial values.
     """
     h, d, u = config.hidden_units, config.embedding_dim, config.head_units
     k, f, feat = config.conv_kernel, config.conv_filters, config.feature_size
 
     def lstm(prefix: str) -> list[ParamSpec]:
         return ([ParamSpec(f"{prefix}.w_{g}", (h, h + d), "glorot", (h + d, h))
-                 for g in "fiog"]
+                 for g in LSTM_GATES]
                 + [ParamSpec(f"{prefix}.b_f", (h,), "forget_bias")]
-                + [ParamSpec(f"{prefix}.b_{g}", (h,), "zeros") for g in "iog"])
+                + [ParamSpec(f"{prefix}.b_{g}", (h,), "zeros") for g in LSTM_GATES[1:]])
 
     cells = {
         "cnn": [ParamSpec("cnn.filters", (k, d, f), "glorot", (k * d, f)),
@@ -220,148 +177,199 @@ def check_parameter_shapes(config: ModelConfig, arrays: Mapping[str, np.ndarray]
             raise ShapeMismatch(f"{name}: expected shape {shape}, got {tuple(arrays[name].shape)}")
 
 
-def _group(cls, prefix: str, tensors: Mapping[str, Tensor]):
-    """Fill dataclass `cls` from the tensors named `<prefix>.<field>`,
-    recursing into fields that are parameter groups themselves."""
-    return cls(**{name: tensors[f"{prefix}.{name}"] if hint is Tensor
-                  else _group(hint, f"{prefix}.{name}", tensors)
-                  for name, hint in typing.get_type_hints(cls).items()})
 
 
-def _assemble(config: ModelConfig, tensors: Mapping[str, Tensor]) -> ModelParams:
-    # a module-level _group, not a self-recursive closure: such a closure is
-    # a reference cycle that would keep every tensor and its gradient alive
-    # until the cyclic garbage collector runs
-    return ModelParams(config, _group(EmbeddingParams, "embedding", tensors),
-                       _group(CELL_TYPES[config.arch], config.arch, tensors),
-                       _group(HeadParams, "head", tensors))
-
-
-def init_params(config: ModelConfig, seed: int) -> ModelParams:
+def init_params(config: ModelConfig, seed: int) -> Params:
     """Seeded deterministic initialization, tensor by tensor in table order."""
     rng = np.random.default_rng(seed)
-    return _assemble(config, {spec.name: Tensor(spec.initial(rng), requires_grad=True)
-                              for spec in parameter_table(config)})
+    return {spec.name: spec.initial(rng) for spec in parameter_table(config)}
 
 
-def named_parameters(params: ModelParams) -> list[tuple[str, Tensor]]:
-    """Canonically named and ordered parameter tensors (checkpoint order)."""
-    named = []
-    for spec in parameter_table(params.config):
-        root, *path = spec.name.split(".")
-        node = params.cell if root == params.config.arch else getattr(params, root)
-        for attr in path:
-            node = getattr(node, attr)
-        named.append((spec.name, node))
-    return named
+# --- layers: each returns (output, back) --------------------------------------
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def build_params(config: ModelConfig, arrays: Mapping[str, np.ndarray]) -> ModelParams:
-    """Assemble ModelParams from named arrays, validating names and shapes."""
-    check_parameter_shapes(config, arrays)
-    return _assemble(config, {name: Tensor(np.array(array, dtype=np.float64),
-                                           requires_grad=True)
-                              for name, array in arrays.items()})
+def _gates(act: np.ndarray, hidden: int) -> list[np.ndarray]:
+    """The f, i, o, g column blocks of fused LSTM gate rows, as views
+    (np.split takes five times as long on a step's few rows)."""
+    return [act[:, k * hidden:(k + 1) * hidden] for k in range(4)]
 
 
-# --- forward pieces ---------------------------------------------------------
+def _packing(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Step-major layout of a batch whose true lengths do not increase: the
+    row and step of each packed row, and the packed offset of each step
+    (one more entry than there are steps). The rows of step t are the
+    first count(lengths > t) rows of the batch."""
+    t_max = int(lengths.max(initial=0))
+    steps, rows = np.nonzero(np.arange(t_max)[:, None] < lengths)
+    return rows, steps, np.searchsorted(steps, np.arange(t_max + 1))
 
-def embedding_lookup(ids, table: Tensor) -> Tensor:
-    """Gather embedding rows for a list of token ids -> (len(ids), d).
 
-    Repeated ids accumulate gradients on the shared row; the padding row
-    is gathered like any other (there is no masking here).
+def embedding_lookup(ids, table: np.ndarray):
+    """Gather the table rows of an integer id array -> ids.shape + (d,).
+
+    `back` scatters the row gradients into one table-shaped gradient,
+    so repeated ids accumulate on their shared row; the padding row is
+    gathered like any other (there is no masking here).
     """
-    index = np.asarray(list(ids), dtype=np.int64)
+    ids = np.asarray(ids, dtype=np.int64)
     rows = table.shape[0]
-    if index.size and (index.min() < 0 or index.max() >= rows):
-        bad = int(index.min()) if index.min() < 0 else int(index.max())
+    if ids.size and (ids.min() < 0 or ids.max() >= rows):
+        bad = int(ids.min()) if ids.min() < 0 else int(ids.max())
         raise IdOutOfRange(f"token id {bad} outside embedding table with {rows} rows")
-    return ad.take(table, index)
+
+    def back(d_rows):
+        grad = np.zeros_like(table)
+        np.add.at(grad, ids, d_rows)
+        return grad
+    return table[ids], back
 
 
-def srnn_step(h_prev: Tensor, x_t: Tensor, p: SrnnParams) -> Tensor:
-    z = ad.concat_last_axis(h_prev, x_t)
-    return ad.tanh(ad.add(ad.matmul(p.w, z), p.b))
+def recurrent_forward(x: np.ndarray, lengths: np.ndarray, params: Mapping[str, np.ndarray],
+                      prefix: str):
+    """Run an sRNN (`<prefix>.w`, `.b`) or an LSTM (`<prefix>.w_f` ... `.b_g`)
+    over a packed batch from a zero state.
 
-
-def lstm_step(h_prev: Tensor, c_prev: Tensor, x_t: Tensor,
-              p: LstmParams) -> tuple[Tensor, Tensor]:
-    z = ad.concat_last_axis(h_prev, x_t)
-    f = ad.sigmoid(ad.add(ad.matmul(p.w_f, z), p.b_f))
-    i = ad.sigmoid(ad.add(ad.matmul(p.w_i, z), p.b_i))
-    o = ad.sigmoid(ad.add(ad.matmul(p.w_o, z), p.b_o))
-    g = ad.tanh(ad.add(ad.matmul(p.w_g, z), p.b_g))
-    c = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
-    h = ad.mul(o, ad.tanh(c))
-    return h, c
-
-
-def recurrent_forward(seq: Tensor, true_length: int,
-                      cell: SrnnParams | LstmParams) -> Tensor:
-    """Run the cell over rows 0..true_length-1 from a zero state and
-    return the final hidden state (a zero vector when true_length is 0).
-    Padded tail rows are never touched."""
-    t_max = seq.shape[0]
-    if not 0 <= true_length <= t_max:
-        raise ValueError(f"true_length {true_length} outside [0, {t_max}]")
-    hidden = cell.w.shape[0] if isinstance(cell, SrnnParams) else cell.w_f.shape[0]
-    h = ad.zeros(hidden)
-    if isinstance(cell, SrnnParams):
-        for t in range(true_length):
-            h = srnn_step(h, ad.take(seq, t), cell)
-        return h
-    c = ad.zeros(hidden)
-    for t in range(true_length):
-        h, c = lstm_step(h, c, ad.take(seq, t), cell)
-    return h
-
-
-def blstm_forward(seq: Tensor, true_length: int, fwd: LstmParams,
-                  bwd: LstmParams) -> Tensor:
-    """concat(forward-order final state, reversed-order final state) -> (2H,).
-
-    The reversed pass reads a row-reversed gather of the first true_length
-    rows of the already-embedded sequence, so the embedding table is
-    gathered once for both directions.
+    `x` holds the packed input rows (see `_packing`) and `lengths` the
+    non-increasing true lengths. Returns the final hidden state of each row,
+    a zero vector for a row of length 0, and back(d_final) ->
+    (d_x, {name: grad}).
     """
-    t_max = seq.shape[0]
-    if not 0 <= true_length <= t_max:
-        raise ValueError(f"true_length {true_length} outside [0, {t_max}]")
-    reversed_rows = ad.take(seq, np.arange(true_length)[::-1])
-    return ad.concat_last_axis(recurrent_forward(seq, true_length, fwd),
-                               recurrent_forward(reversed_rows, true_length, bwd))
+    names = ["w"] if f"{prefix}.w" in params else [f"w_{g}" for g in LSTM_GATES]
+    w = np.concatenate([params[f"{prefix}.{name}"] for name in names])
+    b = np.concatenate([params[f"{prefix}.b{name[1:]}"] for name in names])
+    hidden = w.shape[1] - x.shape[1]
+    lstm = len(names) == 4
+    w_h, w_x = w[:, :hidden], w[:, hidden:]
+    _, _, starts = _packing(lengths)
+    spans = list(zip(starts[:-1], starts[1:]))
+
+    z = x @ w_x.T + b             # every step's input projection at once
+    act = np.empty_like(z)        # gate activations (f, i, o, g for the LSTM)
+    h_in = np.zeros((len(x), hidden))   # the state each packed row reads
+    c_in, tanh_c = np.zeros_like(h_in), np.zeros_like(h_in)
+    h = np.zeros((len(lengths), hidden))
+    c = np.zeros_like(h)
+    for s, e in spans:
+        n = e - s
+        h_in[s:e] = h[:n]
+        a = z[s:e] + h[:n] @ w_h.T
+        if lstm:
+            act[s:e, :3 * hidden] = _sigmoid(a[:, :3 * hidden])
+            act[s:e, 3 * hidden:] = np.tanh(a[:, 3 * hidden:])
+            f, i, o, g = _gates(act[s:e], hidden)
+            c_in[s:e] = c[:n]
+            c[:n] = f * c[:n] + i * g
+            tanh_c[s:e] = np.tanh(c[:n])
+            h[:n] = o * tanh_c[s:e]
+        else:
+            h[:n] = act[s:e] = np.tanh(a)
+
+    def back(d_final):
+        dz = np.empty_like(z)
+        dh = np.array(d_final, dtype=np.float64)   # rows finishing at step t start here
+        dc = np.zeros_like(dh)
+        for s, e in reversed(spans):
+            n = e - s
+            if lstm:
+                f, i, o, g = _gates(act[s:e], hidden)
+                dc_t = dc[:n] + dh[:n] * o * (1.0 - tanh_c[s:e] * tanh_c[s:e])
+                dz[s:e] = np.concatenate([dc_t * c_in[s:e] * f * (1.0 - f),
+                                          dc_t * g * i * (1.0 - i),
+                                          dh[:n] * tanh_c[s:e] * o * (1.0 - o),
+                                          dc_t * i * (1.0 - g * g)], axis=1)
+                dc[:n] = dc_t * f
+            else:
+                dz[s:e] = dh[:n] * (1.0 - act[s:e] * act[s:e])
+            dh[:n] = dz[s:e] @ w_h
+        dw = np.split(np.concatenate([dz.T @ h_in, dz.T @ x], axis=1), len(names))
+        db = np.split(dz.sum(axis=0), len(names))
+        grads = {}
+        for name, dw_gate, db_gate in zip(names, dw, db):
+            grads[f"{prefix}.{name}"] = dw_gate
+            grads[f"{prefix}.b{name[1:]}"] = db_gate
+        return dz @ w_x, grads
+    return h, back
 
 
-def cnn_forward(seq: Tensor, true_length: int, p: CnnParams) -> Tensor:
-    """Valid 1-d convolution + bias, ReLU, then global max pooling -> (F,).
+def blstm_forward(x: np.ndarray, lengths: np.ndarray, params: Mapping[str, np.ndarray]):
+    """concat(forward-order final state, reversed-order final state) -> (B, 2H).
 
-    Padded tail rows take part with whatever the padding embedding holds
-    (zero at initialization); recurrent encoders stop at true_length
-    instead, so only this path sees the padding row.
+    Each row is reversed within its own true length. The reversed pass reads
+    a permutation of the packed rows of the already-embedded batch, so the
+    embedding is gathered once for both directions.
     """
-    t_max = seq.shape[0]
-    k = p.filters.shape[0]
+    rows, steps, starts = _packing(lengths)
+    reverse = starts[lengths[rows] - 1 - steps] + rows
+    h_fwd, fwd_back = recurrent_forward(x, lengths, params, "blstm.fwd")
+    h_bwd, bwd_back = recurrent_forward(x[reverse], lengths, params, "blstm.bwd")
+    hidden = h_fwd.shape[1]
+
+    def back(d_out):
+        d_x, grads = fwd_back(d_out[:, :hidden])
+        d_reversed, bwd_grads = bwd_back(d_out[:, hidden:])
+        d_x[reverse] += d_reversed
+        return d_x, grads | bwd_grads
+    return np.concatenate([h_fwd, h_bwd], axis=1), back
+
+
+def cnn_forward(x: np.ndarray, filters: np.ndarray, bias: np.ndarray):
+    """Valid 1-d convolution + bias, ReLU, then global max pooling:
+    (B, T, d) -> (B, F).
+
+    `filters` is laid out (k, d, F), so the convolution is k shifted
+    (B*P, d) @ (d, F) products over the P = T - k + 1 positions. Padded
+    tail rows take part with whatever the padding embedding holds. The
+    gradient of each pooled value goes to its first maximum.
+    """
+    batch, t_max, d = x.shape
+    k, _, n_filters = filters.shape
     if k > t_max:
         raise KernelTooLarge(f"kernel {k} exceeds sequence length {t_max}")
     positions = t_max - k + 1
-    conv = None
-    for j in range(k):
-        term = ad.matmul(ad.take(seq, slice(j, j + positions)), ad.take(p.filters, j))
-        conv = term if conv is None else ad.add(conv, term)
-    conv = ad.add(conv, p.bias)
-    return ad.max_over_axis(ad.relu(conv), axis=0)
+    windows = [x[:, j:j + positions].reshape(batch * positions, d) for j in range(k)]
+    conv = windows[0] @ filters[0]
+    for j in range(1, k):
+        conv = conv + windows[j] @ filters[j]
+    conv = (conv + bias).reshape(batch, positions, n_filters)
+    act = np.maximum(conv, 0.0)
+
+    def back(d_out):
+        d_conv = np.zeros_like(conv)
+        np.put_along_axis(d_conv, act.argmax(axis=1)[:, None], d_out[:, None], axis=1)
+        d_conv = (d_conv * (conv > 0)).reshape(batch * positions, n_filters)
+        d_x = np.zeros_like(x)
+        for j in range(k):
+            d_x[:, j:j + positions] += (d_conv @ filters[j].T).reshape(batch, positions, d)
+        return d_x, {"cnn.filters": np.stack([window.T @ d_conv for window in windows]),
+                     "cnn.bias": d_conv.sum(axis=0)}
+    return act.max(axis=1), back
 
 
-def head_logits(features: Tensor, head: HeadParams,
-                hidden_mask: Tensor | None = None) -> Tensor:
-    """W2 relu(W1 f + b1) + b2; hidden_mask applies (inverted) dropout."""
-    if features.shape != (head.w1.shape[1],):
-        raise ShapeMismatch(f"head expects features {(head.w1.shape[1],)}, got {features.shape}")
-    hidden = ad.relu(ad.add(ad.matmul(head.w1, features), head.b1))
-    if hidden_mask is not None:
-        hidden = ad.mul(hidden, hidden_mask)
-    return ad.add(ad.matmul(head.w2, hidden), head.b2)
+def head_logits(features: np.ndarray, params: Mapping[str, np.ndarray],
+                masks: np.ndarray | None = None):
+    """relu(features @ W1.T + b1) @ W2.T + b2 -> (B, 3); `masks` (B,
+    head_units) applies (inverted) dropout to the hidden layer. `back`
+    returns (d_features, {name: grad})."""
+    w1, b1, w2, b2 = (params[f"head.{name}"] for name in ("w1", "b1", "w2", "b2"))
+    if features.shape[1:] != (w1.shape[1],):
+        raise ShapeMismatch(f"head expects features {(w1.shape[1],)}, got {features.shape[1:]}")
+    pre = features @ w1.T + b1
+    hidden = np.maximum(pre, 0.0)
+    if masks is not None:
+        hidden = hidden * masks
+
+    def back(d_logits):
+        d_pre = d_logits @ w2
+        if masks is not None:
+            d_pre = d_pre * masks
+        d_pre = d_pre * (pre > 0)
+        return d_pre @ w1, {"head.w1": d_pre.T @ features, "head.b1": d_pre.sum(axis=0),
+                            "head.w2": d_logits.T @ hidden, "head.b2": d_logits.sum(axis=0)}
+    return hidden @ w2.T + b2, back
 
 
 def predict_class(probs) -> OperatorClass:
@@ -372,31 +380,69 @@ def predict_class(probs) -> OperatorClass:
     return OperatorClass(int(np.argmax(values)))
 
 
-def encode_features(params: ModelParams, seq: TokenSequence) -> Tensor:
-    """TokenSequence -> architecture feature vector.
+# --- the chain ------------------------------------------------------------------
 
-    Recurrent paths embed only the first true_length ids; the CNN embeds
-    the whole padded sequence.
+def encode_features(config: ModelConfig, params: Mapping[str, np.ndarray],
+                    seqs: Sequence[TokenSequence]):
+    """A batch of TokenSequences -> (features (B, feature_size), back),
+    with back(d_features) -> {name: grad} for the embedding table and
+    the encoder.
+
+    Recurrent paths embed only the first true_length ids of each row; the
+    CNN embeds the whole padded sequence.
     """
-    config = params.config
-    cell = params.cell
-    if isinstance(cell, CnnParams):
-        emb = embedding_lookup(seq.ids, params.embedding.table)
-        return cnn_forward(emb, seq.true_length, cell)
-    length = min(seq.true_length, len(seq.ids))
-    if length == 0:
-        return ad.zeros(config.feature_size)
-    emb = embedding_lookup(seq.ids[:length], params.embedding.table)
-    if isinstance(cell, BlstmParams):
-        return blstm_forward(emb, length, cell.fwd, cell.bwd)
-    return recurrent_forward(emb, length, cell)
+    table = params["embedding.table"]
+    if config.arch == "cnn":
+        order = np.arange(len(seqs))
+        x, embedding_back = embedding_lookup([s.ids for s in seqs], table)
+        encoded, encoder_back = cnn_forward(x, params["cnn.filters"], params["cnn.bias"])
+    else:
+        lengths = np.array([min(s.true_length, len(s.ids)) for s in seqs])
+        order = np.argsort(-lengths, kind="stable")
+        lengths = lengths[order]
+        padded = np.zeros((len(seqs), int(lengths.max(initial=0))), dtype=np.int64)
+        for row, index in enumerate(order):
+            padded[row, :lengths[row]] = seqs[index].ids[:lengths[row]]
+        rows, steps, _ = _packing(lengths)
+        x, embedding_back = embedding_lookup(padded[rows, steps], table)
+        if config.arch == "blstm":
+            encoded, encoder_back = blstm_forward(x, lengths, params)
+        else:
+            encoded, encoder_back = recurrent_forward(x, lengths, params, config.arch)
+    features = np.empty_like(encoded)
+    features[order] = encoded
+
+    def back(d_features):
+        d_x, grads = encoder_back(d_features[order])
+        grads["embedding.table"] = embedding_back(d_x)
+        return grads
+    return features, back
 
 
-def forward_probs(params: ModelParams, seq: TokenSequence) -> np.ndarray:
-    """The one scorer: the 3-class probability vector as a plain array.
+def loss_and_grads(config: ModelConfig, params: Mapping[str, np.ndarray],
+                   seqs: Sequence[TokenSequence], labels: Sequence[int],
+                   masks: np.ndarray | None = None) -> tuple[float, Params]:
+    """Mean cross-entropy of a batch and its gradient for every parameter,
+    keyed and ordered like `params`. `masks` holds one dropout mask row per
+    record, or None for no dropout. The loss gradient is the exact
+    (p - onehot) / B; it does not pass through the cross-entropy clamp."""
+    features, encoder_back = encode_features(config, params, seqs)
+    logits, head_back = head_logits(features, params, masks)
+    probs = ad.softmax(logits)
+    batch = len(seqs)
+    loss = sum(ad.cross_entropy(p, label) for p, label in zip(probs, labels)) / batch
+    d_logits = probs.copy()
+    d_logits[np.arange(batch), labels] -= 1.0
+    d_features, grads = head_back((1.0 / batch) * d_logits)
+    grads |= encoder_back(d_features)
+    return loss, {name: grads[name] for name in params}
 
-    Training's scoring pass, evaluation and prediction all call this; it
-    records no tape, even on parameters that require grad.
-    """
-    with ad.no_grad():
-        return ad.softmax(head_logits(encode_features(params, seq), params.head).data)
+
+def forward_probs(config: ModelConfig, params: Mapping[str, np.ndarray],
+                  seq: TokenSequence) -> np.ndarray:
+    """The one scorer: the training forward on one record, as its 3-class
+    probability vector. Training's scoring pass, evaluation and prediction
+    all call this."""
+    features, _ = encode_features(config, params, [seq])
+    logits, _ = head_logits(features, params)
+    return ad.softmax(logits[0])

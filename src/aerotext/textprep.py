@@ -88,13 +88,23 @@ class Vocabulary:
 
     @classmethod
     def from_tsv(cls, text: str, max_size: int | None = None) -> "Vocabulary":
+        """Parse `token<TAB>id` lines. Raises ValueError unless the ids are
+        unique integers in [2, max_size + 1]; max_size defaults to the
+        number of tokens."""
         mapping = {}
-        for line in text.splitlines():
+        for number, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
             token, _, i = line.partition("\t")
-            mapping[token] = int(i)
-        return cls(mapping, max_size if max_size is not None else max(len(mapping), 1))
+            try:
+                mapping[token] = int(i)
+            except ValueError:
+                raise ValueError(f"line {number}: id {i!r} is not an integer") from None
+        max_size = max_size if max_size is not None else max(len(mapping), 1)
+        ids = list(mapping.values())
+        if len(set(ids)) != len(ids) or not all(2 <= i <= max_size + 1 for i in ids):
+            raise ValueError(f"vocabulary ids must be unique and in [2, {max_size + 1}]")
+        return cls(mapping, max_size)
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":

@@ -14,13 +14,12 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Sequence
+from typing import BinaryIO, Mapping, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from . import models
-from .autodiff import Tensor
 from .corpus import LabeledRecord, SplitDataset
 from .errors import (
     CorruptCheckpoint,
@@ -30,7 +29,7 @@ from .errors import (
     ShapeMismatch,
     VersionUnsupported,
 )
-from .models import ModelConfig, ModelParams
+from .models import ModelConfig
 from .textprep import TokenSequence, Vocabulary, encode_sequence
 
 CHECKPOINT_MAGIC = b"ATXC"
@@ -77,43 +76,42 @@ class EpochRecord:
 # --- optimizers ---------------------------------------------------------------
 
 class Sgd:
-    def __init__(self, params: Sequence[Tensor], lr: float):
-        self.params = list(params)
+    def __init__(self, params: dict[str, np.ndarray], lr: float):
+        self.params = params
         self.lr = lr
 
-    def step(self) -> None:
-        for p in self.params:
-            if p.grad is not None:
-                p.data -= self.lr * p.grad
+    def step(self, grads: Mapping[str, np.ndarray]) -> None:
+        for name, p in self.params.items():
+            p -= self.lr * grads[name]
 
 
 class Adam:
-    """Bias-corrected Adam: the t=1 update is lr * g / (|g| + eps)."""
+    """Bias-corrected Adam: the t=1 update is lr * g / (|g| + eps). Dense:
+    every entry moves on every step, including embedding rows a batch does
+    not read, whose moments still carry momentum."""
 
-    def __init__(self, params: Sequence[Tensor], lr: float,
+    def __init__(self, params: dict[str, np.ndarray], lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.params = list(params)
+        self.params = params
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.m = {name: np.zeros_like(p) for name, p in params.items()}
+        self.v = {name: np.zeros_like(p) for name, p in params.items()}
 
-    def step(self) -> None:
+    def step(self, grads: Mapping[str, np.ndarray]) -> None:
         self.t += 1
         correct1 = 1.0 - self.beta1 ** self.t
         correct2 = 1.0 - self.beta2 ** self.t
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
-            g = p.grad
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[i] / correct1
-            v_hat = self.v[i] / correct2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        for name, p in self.params.items():
+            g = grads[name]
+            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
+            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
+            m_hat = self.m[name] / correct1
+            v_hat = self.v[name] / correct2
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def make_optimizer(params: Sequence[Tensor], config: TrainConfig):
+def make_optimizer(params: dict[str, np.ndarray], config: TrainConfig):
     if config.optimizer == "sgd":
         return Sgd(params, config.learning_rate)
     return Adam(params, config.learning_rate, config.beta1, config.beta2, config.eps)
@@ -197,20 +195,14 @@ def load_checkpoint(source: str | Path | BinaryIO) -> ModelCheckpoint:
         vocab = Vocabulary.from_tsv(vocab_text, max_size=config.vocab_size)
     except ValueError as exc:
         raise CorruptCheckpoint(f"bad embedded vocabulary: {exc}") from None
-    ids = list(vocab.token_to_id.values())
-    if len(set(ids)) != len(ids) or not all(2 <= i <= config.vocab_size + 1 for i in ids):
-        raise CorruptCheckpoint("embedded vocabulary ids must be unique and in "
-                                f"[2, {config.vocab_size + 1}]")
-
     try:
         models.check_parameter_shapes(config, tensors)
     except ShapeMismatch as exc:
         raise CorruptCheckpoint(f"tensors do not match the embedded config: {exc}") from None
+    nonfinite = [name for name, array in sorted(tensors.items()) if not np.isfinite(array).all()]
+    if nonfinite:
+        raise CorruptCheckpoint(f"non-finite values in tensors {nonfinite}")
     return ModelCheckpoint(config, vocab, stopwords, truncate, tensors, epoch, version)
-
-
-def params_from_checkpoint(ckpt: ModelCheckpoint) -> ModelParams:
-    return models.build_params(ckpt.config, ckpt.tensors)
 
 
 # --- the loop -------------------------------------------------------------------
@@ -220,12 +212,13 @@ def _encode_all(records: Sequence[LabeledRecord], vocab: Vocabulary,
     return [encode_sequence(r.summary, vocab, max_len, truncate) for r in records]
 
 
-def _dataset_metrics(params: ModelParams, sequences: Sequence[TokenSequence],
+def _dataset_metrics(config: ModelConfig, params: Mapping[str, np.ndarray],
+                     sequences: Sequence[TokenSequence],
                      labels: Sequence[int]) -> tuple[float, float]:
     total_loss = 0.0
     correct = 0
     for seq, label in zip(sequences, labels):
-        probs = models.forward_probs(params, seq)
+        probs = models.forward_probs(config, params, seq)
         total_loss += ad.cross_entropy(probs, label)
         if int(np.argmax(probs)) == label:
             correct += 1
@@ -262,9 +255,7 @@ def train(model_config: ModelConfig, train_config: TrainConfig, split: SplitData
     val_labels = [int(r.label) for r in split.validation]
 
     params = models.init_params(model_config, train_config.seed)
-    named = models.named_parameters(params)
-    tensors = [t for _, t in named]
-    optimizer = make_optimizer(tensors, train_config)
+    optimizer = make_optimizer(params, train_config)
     rng = np.random.default_rng(train_config.seed)
     n = len(train_seqs)
     batch = train_config.batch_size
@@ -277,25 +268,15 @@ def train(model_config: ModelConfig, train_config: TrainConfig, split: SplitData
         order = rng.permutation(n)
         for start in range(0, n, batch):
             chosen = order[start:start + batch]
-            for t in tensors:
-                t.zero_grad()
-            total = None
-            for idx in chosen:
-                seq = train_seqs[idx]
-                features = models.encode_features(params, seq)
-                mask = _dropout_mask(model_config, rng)
-                logits = models.head_logits(features, params.head, mask)
-                sample_loss = ad.softmax_cross_entropy(logits, train_labels[idx])
-                total = sample_loss if total is None else ad.add(total, sample_loss)
-            loss = ad.mul(total, Tensor(1.0 / len(chosen)))
-            if not np.isfinite(loss.data):
-                raise NonfiniteLoss(f"loss is {float(loss.data)} at epoch {epoch}, "
-                                    f"batch {start // batch}")
-            ad.backward(loss)
-            optimizer.step()
+            loss, grads = models.loss_and_grads(
+                model_config, params, [train_seqs[i] for i in chosen],
+                [train_labels[i] for i in chosen], _dropout_masks(model_config, rng, len(chosen)))
+            if not math.isfinite(loss):
+                raise NonfiniteLoss(f"loss is {loss} at epoch {epoch}, batch {start // batch}")
+            optimizer.step(grads)
 
-        train_loss, train_acc = _dataset_metrics(params, train_seqs, train_labels)
-        val_loss, val_acc = _dataset_metrics(params, val_seqs, val_labels)
+        train_loss, train_acc = _dataset_metrics(model_config, params, train_seqs, train_labels)
+        val_loss, val_acc = _dataset_metrics(model_config, params, val_seqs, val_labels)
         # the per-batch check sees each loss before its step, so a step that
         # poisons the parameters shows first here
         if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
@@ -305,19 +286,20 @@ def train(model_config: ModelConfig, train_config: TrainConfig, split: SplitData
         history.append(record)
         if _improved(record, best, train_config.select_best_by):
             best = record
-            best_tensors = {name: t.data.copy() for name, t in named}
+            best_tensors = {name: p.copy() for name, p in params.items()}
 
     checkpoint = ModelCheckpoint(model_config, vocab, frozenset(stopwords),
                                  truncate, best_tensors, best.epoch)
     return checkpoint, history
 
 
-def _dropout_mask(config: ModelConfig, rng: np.random.Generator) -> Tensor | None:
+def _dropout_masks(config: ModelConfig, rng: np.random.Generator,
+                   batch: int) -> np.ndarray | None:
+    """One inverted-dropout mask row per record, drawn record by record."""
     if config.dropout_rate <= 0.0:
         return None
     keep = 1.0 - config.dropout_rate
-    mask = (rng.random(config.head_units) < keep) / keep
-    return Tensor(mask)
+    return np.stack([(rng.random(config.head_units) < keep) / keep for _ in range(batch)])
 
 
 # --- history CSV ------------------------------------------------------------------

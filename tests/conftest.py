@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from aerotext import models
 from aerotext.corpus import LabeledRecord, OperatorClass, SplitDataset
 
 
@@ -27,6 +28,19 @@ FedEx,Cargo shifted in flight causing a center of gravity warning on departure
 U.S. Marine Corps,Jet departed the prepared surface after landing long in wet conditions
 Flying Club,Club airplane nosed over during a soft field landing practice session
 """
+
+
+def random_params(config, rng):
+    """Every parameter of `config` drawn uniformly in [-1, 1]: a random O(1)
+    point, since at the Glorot/embedding init scales some true gradients
+    fall below the reach of central differences."""
+    return {name: rng.uniform(-1.0, 1.0, shape)
+            for name, shape in models.expected_parameter_shapes(config).items()}
+
+
+def head_params(w1, b1, w2, b2):
+    return {f"head.{name}": np.asarray(value, dtype=np.float64)
+            for name, value in zip(("w1", "b1", "w2", "b2"), (w1, b1, w2, b2))}
 
 
 def synthetic_corpus(n_per_class: int = 20, extra_per_class: int = 2,

@@ -30,13 +30,7 @@ from aerotext.corpus import (
     split_sizes,
 )
 from aerotext.metrics import classification_report, confusion_matrix
-from aerotext.models import (
-    LstmParams,
-    ModelConfig,
-    SrnnParams,
-    blstm_forward,
-    recurrent_forward,
-)
+from aerotext.models import ModelConfig, blstm_forward, recurrent_forward
 from aerotext.textprep import (
     Vocabulary,
     cleanse_text,
@@ -47,7 +41,7 @@ from aerotext.textprep import (
 from aerotext.training import TrainConfig, train
 from aerotext.textprep import TokenSequence
 
-from conftest import synthetic_corpus
+from conftest import random_params, synthetic_corpus
 from oracles import lstm_unroll, report_from_lists, srnn_unroll
 
 
@@ -62,29 +56,21 @@ def random_mini_instance(arch: str, seed: int):
     config = ModelConfig(arch=arch, vocab_size=20, embedding_dim=8,
                          hidden_units=8, head_units=8, max_len=10,
                          conv_filters=6, conv_kernel=3)
-    arrays = {name: rng.uniform(-1.0, 1.0, shape)
-              for name, shape in models.expected_parameter_shapes(config).items()}
-    params = models.build_params(config, arrays)
+    params = random_params(config, rng)
     true_length = int(rng.integers(3, 9))
     ids = [int(rng.integers(2, 22)) for _ in range(true_length)]
     ids += [0] * (10 - true_length)
     label = int(rng.integers(0, 3))
-    return params, TokenSequence(ids, true_length), label
+    return config, params, TokenSequence(ids, true_length), label
 
 
 def test_criterion_1_gradient_fidelity():
     started = time.time()
     worst = {}
     for arch, seed in (("srnn", 101), ("lstm", 102), ("blstm", 103), ("cnn", 104)):
-        params, seq, label = random_mini_instance(arch, seed)
-        tensors = [t for _, t in models.named_parameters(params)]
-
-        def fn():
-            features = models.encode_features(params, seq)
-            return ad.softmax_cross_entropy(
-                models.head_logits(features, params.head), label)
-
-        worst[arch] = ad.gradient_check(fn, tensors, epsilon=1e-5)
+        config, params, seq, label = random_mini_instance(arch, seed)
+        worst[arch] = ad.gradient_check(
+            lambda: models.loss_and_grads(config, params, [seq], [label]), params, epsilon=1e-5)
     elapsed = time.time() - started
     ok = all(err < 1e-4 for err in worst.values()) and elapsed < 120
     detail = ("end-to-end finite differences, every parameter coordinate: "
@@ -103,8 +89,8 @@ def test_criterion_2_state_update_oracle():
         w = rng.uniform(-2, 2, (h, h + d))
         b = rng.uniform(-2, 2, h)
         seq = rng.uniform(-2, 2, (max(length, 1), d))
-        got = recurrent_forward(ad.Tensor(seq), length,
-                                SrnnParams(ad.Tensor(w), ad.Tensor(b))).data
+        got = recurrent_forward(seq[:length], np.array([length]),
+                                {"srnn.w": w, "srnn.b": b}, "srnn")[0][0]
         want = srnn_unroll(w, b, seq[:length])
         worst = max(worst, float(np.max(np.abs(got - want))) if got.size else 0.0)
     verdict(2, worst <= 1e-12,
@@ -120,15 +106,16 @@ def test_criterion_3_bidirectional_decomposition():
         d = int(rng.integers(1, 5))
         length = int(rng.integers(0, 7))
         t_max = length + int(rng.integers(0, 3))
-        fwd = LstmParams(*(ad.Tensor(rng.uniform(-1, 1, (h, h + d))) for _ in range(4)),
-                         *(ad.Tensor(rng.uniform(-1, 1, h)) for _ in range(4)))
-        bwd = LstmParams(*(ad.Tensor(rng.uniform(-1, 1, (h, h + d))) for _ in range(4)),
-                         *(ad.Tensor(rng.uniform(-1, 1, h)) for _ in range(4)))
+        params = {}
+        for direction in ("fwd", "bwd"):
+            params |= {f"blstm.{direction}.w_{g}": rng.uniform(-1, 1, (h, h + d)) for g in "fiog"}
+            params |= {f"blstm.{direction}.b_{g}": rng.uniform(-1, 1, h) for g in "fiog"}
         seq = rng.uniform(-1, 1, (max(t_max, 1), d))
-        both = blstm_forward(ad.Tensor(seq), length, fwd, bwd).data
-        fwd_half = recurrent_forward(ad.Tensor(seq), length, fwd).data
-        rev_rows = seq[:length][::-1].copy() if length else seq[:1] * 0
-        bwd_half = recurrent_forward(ad.Tensor(rev_rows), length, bwd).data
+        lengths = np.array([length])
+        both = blstm_forward(seq[:length], lengths, params)[0][0]
+        fwd_half = recurrent_forward(seq[:length], lengths, params, "blstm.fwd")[0][0]
+        bwd_half = recurrent_forward(seq[:length][::-1].copy(), lengths, params,
+                                     "blstm.bwd")[0][0]
         exact = exact and np.array_equal(both[:h], fwd_half) \
             and np.array_equal(both[h:], bwd_half)
     verdict(3, exact, "100 random instances: both halves equal independent "

@@ -232,6 +232,48 @@ def test_bad_split_row_exits_1_with_one_error_line(tmp_path, capsys, row):
     assert not out.exists()
 
 
+def _repeat_id(text):
+    lines = text.splitlines()
+    lines[1] = lines[1].split("\t")[0] + "\t2"
+    return "\n".join(lines) + "\n"
+
+
+def _drop_key(*path):
+    def edit(text):
+        manifest = json.loads(text)
+        node = manifest
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+        return json.dumps(manifest)
+    return edit
+
+
+@pytest.mark.parametrize("name,edit", [
+    ("vocab.tsv", _repeat_id),
+    ("vocab.tsv", lambda text: text.replace("\t2\n", "\t2.5\n", 1)),
+    ("manifest.json", lambda text: "{"),
+    ("manifest.json", _drop_key("config")),
+    ("manifest.json", _drop_key("config", "max_len")),
+    ("manifest.json", _drop_key("config", "truncate")),
+    ("manifest.json", lambda text: text.replace('"truncate":"head"', '"truncate":"middle"')),
+    ("manifest.json", lambda text: text.replace('"max_len":', '"max_len":"x","_":')),
+], ids=["repeated-id", "non-integer-id", "invalid-json", "no-config", "no-max-len",
+        "no-truncate", "bad-truncate", "string-max-len"])
+def test_bad_prepared_file_exits_1_with_one_error_line(tmp_path, capsys, name, edit):
+    prepared = prepare_dir(tmp_path, capsys)
+    path = prepared / name
+    path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+    out = tmp_path / "run"
+    code, stdout, err = run(["train", "--data", str(prepared), "--arch", "srnn",
+                             "--epochs", "1", "--out", str(out)], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1, err
+    assert str(path) in err
+    assert not out.exists()
+
+
 class TestEvaluate:
     def test_overfit_model_prints_accuracy_1(self, tmp_path, capsys):
         prepared = prepare_dir(tmp_path, capsys)

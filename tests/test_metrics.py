@@ -206,7 +206,7 @@ def test_scoring_pass_agrees_with_predictor_and_evaluate(arch):
     records = split.train + split.validation
     seqs = training._encode_all(records, vocab, config.max_len, ckpt.truncate)
     labels = [int(r.label) for r in records]
-    loss, accuracy = training._dataset_metrics(training.params_from_checkpoint(ckpt),
+    loss, accuracy = training._dataset_metrics(ckpt.config, ckpt.tensors,
                                                seqs, labels)
     predictor = Predictor(ckpt)
     assert loss == sum(ad.cross_entropy(predictor.probs(r.summary), int(r.label))
