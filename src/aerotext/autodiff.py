@@ -70,14 +70,14 @@ def write_tensor(sink: BinaryIO, array: np.ndarray) -> None:
 
 
 def read_tensor(source: BinaryIO) -> np.ndarray:
-    rank = struct.unpack("<Q", _read_exact(source, 8))[0]
-    shape = struct.unpack(f"<{rank}Q", _read_exact(source, 8 * rank)) if rank else ()
+    rank = struct.unpack("<Q", _read_bytes(source, 8))[0]
+    shape = struct.unpack(f"<{rank}Q", _read_bytes(source, 8 * rank)) if rank else ()
     count = int(np.prod(shape)) if shape else 1
-    raw = _read_exact(source, 8 * count)
+    raw = _read_bytes(source, 8 * count)
     return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
 
-def _read_exact(source: BinaryIO, n: int) -> bytes:
+def _read_bytes(source: BinaryIO, n: int) -> bytes:
     buf = source.read(n)
     if len(buf) != n:
         raise EOFError(f"expected {n} bytes, got {len(buf)}")

@@ -34,6 +34,7 @@ from .models import ARCHITECTURES, ModelConfig
 from .textprep import (
     DEFAULT_MAX_LEN,
     DEFAULT_VOCAB_SIZE,
+    TRUNCATE,
     Vocabulary,
     cleanse_text,
     default_stopwords,
@@ -202,9 +203,9 @@ def _load_prepared(data_dir: Path) -> dict:
     except (KeyError, TypeError) as exc:
         raise InvalidConfig(f"{manifest_path}: no prepare config with max_len and "
                             f"truncate ({type(exc).__name__}: {exc})") from None
-    if type(max_len) is not int or truncate not in ("head", "tail"):
-        raise InvalidConfig(f"{manifest_path}: expected an integer max_len and a truncate of "
-                            f"'head' or 'tail', got {max_len!r} and {truncate!r}")
+    if type(max_len) is not int or truncate not in TRUNCATE:
+        raise InvalidConfig(f"{manifest_path}: expected an integer max_len and a truncate in "
+                            f"{TRUNCATE}, got {max_len!r} and {truncate!r}")
     vocab_path = data_dir / "vocab.tsv"
     try:
         vocab = Vocabulary.load(vocab_path)
@@ -274,7 +275,6 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     data_dir = Path(args.data)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     checkpoint = load_checkpoint(args.checkpoint)
     records = _read_split_csv(data_dir / SPLIT_FILES[args.split])
 
@@ -326,34 +326,33 @@ def build_parser() -> _Parser:
     p.add_argument("--summary-column", default=DEFAULT_SUMMARY_COLUMN)
     p.add_argument("--max-len", type=int, default=DEFAULT_MAX_LEN)
     p.add_argument("--vocab-size", type=int, default=DEFAULT_VOCAB_SIZE)
-    p.add_argument("--truncate", choices=("head", "tail"), default="head")
+    p.add_argument("--truncate", choices=TRUNCATE, default="head")
     p.add_argument("--stratify", action="store_true")
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("train", help="train one architecture on prepared data")
     p.add_argument("--data", required=True, help="directory written by prepare")
     p.add_argument("--arch", required=True, choices=ARCHITECTURES)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--optimizer", choices=("adam", "sgd"), default="adam")
-    p.add_argument("--select-best-by",
-                   choices=("validation_accuracy", "validation_loss"),
-                   default="validation_accuracy")
-    p.add_argument("--embedding-dim", type=int, default=100)
-    p.add_argument("--hidden-units", type=int, default=128)
-    p.add_argument("--head-units", type=int, default=64)
-    p.add_argument("--conv-filters", type=int, default=128)
-    p.add_argument("--conv-kernel", type=int, default=5)
-    p.add_argument("--dropout", type=float, default=0.0)
+    p.add_argument("--optimizer", choices=training.OPTIMIZERS, default=TrainConfig.optimizer)
+    p.add_argument("--select-best-by", choices=training.BEST_BY,
+                   default=TrainConfig.select_best_by)
+    p.add_argument("--embedding-dim", type=int, default=ModelConfig.embedding_dim)
+    p.add_argument("--hidden-units", type=int, default=ModelConfig.hidden_units)
+    p.add_argument("--head-units", type=int, default=ModelConfig.head_units)
+    p.add_argument("--conv-filters", type=int, default=ModelConfig.conv_filters)
+    p.add_argument("--conv-kernel", type=int, default=ModelConfig.conv_kernel)
+    p.add_argument("--dropout", type=float, default=ModelConfig.dropout_rate)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="evaluate a checkpoint on a prepared split")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--split", choices=("train", "validation", "test"), default="test")
+    p.add_argument("--split", choices=tuple(SPLIT_FILES), default="test")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
 

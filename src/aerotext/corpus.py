@@ -68,25 +68,24 @@ def normalize_operator(operator: str) -> str:
 
 
 class OperatorMapping:
-    """Ordered (pattern, class) entries with exact and whole-word lookup.
+    """Ordered (pattern, class) entries with whole-word lookup.
 
-    Exact normalized match wins outright. Otherwise every pattern is
-    tried as a whole-word token subsequence of the normalized operator;
-    the longest matching pattern wins, ties broken by class code and
-    then file order.
+    The longest pattern that occurs as a whole-word token span of the
+    normalized operator wins; an exact match is the longest span. Ties
+    go to the lower class code, then to the earlier entry.
     """
 
     def __init__(self, entries: Sequence[tuple[str, OperatorClass]]):
-        self.entries: list[tuple[str, OperatorClass]] = []
-        self._exact: dict[str, OperatorClass] = {}
-        for pattern, cls in entries:
+        # normalized pattern -> (-len, class code, entry index); the smallest key wins
+        self._rank: dict[str, tuple[int, int, int]] = {}
+        for index, (pattern, cls) in enumerate(entries):
             norm = normalize_operator(pattern)
             if not norm:
                 raise InvalidMapping("empty pattern after normalization")
-            if norm in self._exact:
+            if norm in self._rank:
                 raise InvalidMapping(f"duplicate pattern {norm!r} after normalization")
-            self.entries.append((norm, cls))
-            self._exact[norm] = cls
+            self._rank[norm] = (-len(norm), int(cls), index)
+        self._max_tokens = max((len(norm.split()) for norm in self._rank), default=0)
 
     @classmethod
     def load(cls, path: str | Path) -> "OperatorMapping":
@@ -106,28 +105,15 @@ class OperatorMapping:
         return cls(entries)
 
     def lookup(self, operator: str) -> OperatorClass:
-        norm = normalize_operator(operator)
-        hit = self._exact.get(norm)
-        if hit is not None:
-            return hit
-        tokens = norm.split()
-        best: tuple[int, int, int] | None = None  # (-len, class code, entry index)
-        best_cls = None
-        for index, (pattern, cls) in enumerate(self.entries):
-            if _contains_word_sequence(tokens, pattern.split()):
-                key = (-len(pattern), int(cls), index)
-                if best is None or key < best:
-                    best, best_cls = key, cls
-        if best_cls is None:
+        # a normalized pattern is the single-space join of its tokens, so it
+        # occurs as a whole-word subsequence exactly when it equals a joined span
+        tokens = normalize_operator(operator).split()
+        spans = (" ".join(tokens[i:j]) for i in range(len(tokens))
+                 for j in range(i + 1, min(i + self._max_tokens, len(tokens)) + 1))
+        hits = [self._rank[span] for span in spans if span in self._rank]
+        if not hits:
             raise UnmappedOperator(f"no mapping pattern matches operator {operator!r}")
-        return best_cls
-
-
-def _contains_word_sequence(tokens: list[str], pattern: list[str]) -> bool:
-    if not pattern or len(pattern) > len(tokens):
-        return False
-    return any(tokens[i:i + len(pattern)] == pattern
-               for i in range(len(tokens) - len(pattern) + 1))
+        return OperatorClass(min(hits)[1])
 
 
 def annotate(record: RawRecord, mapping: OperatorMapping) -> LabeledRecord:

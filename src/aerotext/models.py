@@ -70,8 +70,9 @@ class ModelConfig:
             raise InvalidConfig(f"arch must be one of {ARCHITECTURES}, got {self.arch!r}")
         for name in ("vocab_size", "embedding_dim", "hidden_units", "head_units",
                      "max_len", "conv_filters", "conv_kernel"):
-            if getattr(self, name) < 1:
-                raise InvalidConfig(f"{name} must be >= 1")
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise InvalidConfig(f"{name} must be an integer >= 1, got {value!r}")
         if self.num_classes != NUM_CLASSES:
             raise InvalidConfig("this classifier is fixed at 3 classes")
         if not 0.0 <= self.dropout_rate < 1.0:

@@ -25,6 +25,7 @@ PAD_ID = 0
 OOV_ID = 1
 DEFAULT_MAX_LEN = 200
 DEFAULT_VOCAB_SIZE = 20000
+TRUNCATE = ("head", "tail")  # the side of a long sequence that is kept
 
 # \w is isalnum() plus underscore, so [\W_] is exactly the characters
 # outside letters/digits/whitespace (whitespace collapses in the split).
@@ -141,8 +142,8 @@ def encode_sequence(text: str, vocab: Vocabulary, max_len: int = DEFAULT_MAX_LEN
     at max_len. "head" keeps the first max_len tokens, "tail" the last."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    if truncate not in ("head", "tail"):
-        raise ValueError(f"truncate must be 'head' or 'tail', got {truncate!r}")
+    if truncate not in TRUNCATE:
+        raise ValueError(f"truncate must be one of {TRUNCATE}, got {truncate!r}")
     tokens = text.split()
     kept = tokens[:max_len] if truncate == "head" else tokens[-max_len:]
     ids = [vocab.id_for(t) for t in kept]

@@ -30,7 +30,7 @@ from .errors import (
     VersionUnsupported,
 )
 from .models import ModelConfig
-from .textprep import TokenSequence, Vocabulary, encode_sequence
+from .textprep import TRUNCATE, TokenSequence, Vocabulary, encode_sequence
 
 CHECKPOINT_MAGIC = b"ATXC"
 CHECKPOINT_VERSION = 1
@@ -45,9 +45,6 @@ class TrainConfig:
     batch_size: int = 32
     epochs: int = 20
     optimizer: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     select_best_by: str = "validation_accuracy"
 
@@ -90,31 +87,27 @@ class Adam:
     every entry moves on every step, including embedding rows a batch does
     not read, whose moments still carry momentum."""
 
-    def __init__(self, params: dict[str, np.ndarray], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict[str, np.ndarray], lr: float):
         self.params = params
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.t = 0
         self.m = {name: np.zeros_like(p) for name, p in params.items()}
         self.v = {name: np.zeros_like(p) for name, p in params.items()}
 
     def step(self, grads: Mapping[str, np.ndarray]) -> None:
         self.t += 1
-        correct1 = 1.0 - self.beta1 ** self.t
-        correct2 = 1.0 - self.beta2 ** self.t
+        correct1 = 1.0 - self.BETA1 ** self.t
+        correct2 = 1.0 - self.BETA2 ** self.t
         for name, p in self.params.items():
-            g = grads[name]
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[name] / correct1
-            v_hat = self.v[name] / correct2
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-def make_optimizer(params: dict[str, np.ndarray], config: TrainConfig):
-    if config.optimizer == "sgd":
-        return Sgd(params, config.learning_rate)
-    return Adam(params, config.learning_rate, config.beta1, config.beta2, config.eps)
+            g, m, v = grads[name], self.m[name], self.v[name]
+            # in place, with the operation order of beta * m + (1 - beta) * g
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * g * g
+            p -= self.lr * (m / correct1) / (np.sqrt(v / correct2) + self.EPS)
 
 
 # --- checkpoints ----------------------------------------------------------------
@@ -164,29 +157,36 @@ def load_checkpoint(source: str | Path | BinaryIO) -> ModelCheckpoint:
         with open(source, "rb") as handle:
             return load_checkpoint(handle)
     try:
-        magic = ad._read_exact(source, 4)
+        magic = ad._read_bytes(source, 4)
         if magic != CHECKPOINT_MAGIC:
             raise CorruptCheckpoint(f"bad magic {magic!r}")
-        version = struct.unpack("<I", ad._read_exact(source, 4))[0]
+        version = struct.unpack("<I", ad._read_bytes(source, 4))[0]
         if version != CHECKPOINT_VERSION:
             raise VersionUnsupported(f"checkpoint version {version} not supported")
-        meta_len = struct.unpack("<Q", ad._read_exact(source, 8))[0]
-        meta = json.loads(ad._read_exact(source, meta_len).decode("utf-8"))
-        vocab_len = struct.unpack("<Q", ad._read_exact(source, 8))[0]
-        vocab_text = ad._read_exact(source, vocab_len).decode("utf-8")
-        n_tensors = struct.unpack("<I", ad._read_exact(source, 4))[0]
+        meta_len = struct.unpack("<Q", ad._read_bytes(source, 8))[0]
+        meta = json.loads(ad._read_bytes(source, meta_len).decode("utf-8"))
+        vocab_len = struct.unpack("<Q", ad._read_bytes(source, 8))[0]
+        vocab_text = ad._read_bytes(source, vocab_len).decode("utf-8")
+        n_tensors = struct.unpack("<I", ad._read_bytes(source, 4))[0]
         tensors = {}
         for _ in range(n_tensors):
-            name_len = struct.unpack("<Q", ad._read_exact(source, 8))[0]
-            name = ad._read_exact(source, name_len).decode("utf-8")
+            name_len = struct.unpack("<Q", ad._read_bytes(source, 8))[0]
+            name = ad._read_bytes(source, name_len).decode("utf-8")
             tensors[name] = ad.read_tensor(source)
     except (EOFError, UnicodeDecodeError, json.JSONDecodeError, struct.error,
             OverflowError, MemoryError, ValueError) as exc:
         raise CorruptCheckpoint(f"truncated or garbled checkpoint: {exc}") from None
 
+    if not isinstance(meta, dict):
+        raise CorruptCheckpoint(f"metadata is a JSON {type(meta).__name__}, not an object")
     epoch = meta.pop("epoch", 0)
     truncate = meta.pop("truncate", "head")
-    stopwords = frozenset(meta.pop("stopwords", []))
+    stopwords = meta.pop("stopwords", [])
+    if type(epoch) is not int or truncate not in TRUNCATE or not (
+            isinstance(stopwords, list) and all(isinstance(w, str) for w in stopwords)):
+        raise CorruptCheckpoint(f"bad embedded metadata: epoch must be an integer, truncate one "
+                                f"of {TRUNCATE} and stopwords a list of strings; got epoch "
+                                f"{epoch!r}, truncate {truncate!r}")
     try:
         config = ModelConfig(**meta)
     except (TypeError, ValueError) as exc:
@@ -202,7 +202,8 @@ def load_checkpoint(source: str | Path | BinaryIO) -> ModelCheckpoint:
     nonfinite = [name for name, array in sorted(tensors.items()) if not np.isfinite(array).all()]
     if nonfinite:
         raise CorruptCheckpoint(f"non-finite values in tensors {nonfinite}")
-    return ModelCheckpoint(config, vocab, stopwords, truncate, tensors, epoch, version)
+    return ModelCheckpoint(config, vocab, frozenset(stopwords), truncate, tensors, epoch,
+                           version)
 
 
 # --- the loop -------------------------------------------------------------------
@@ -255,7 +256,8 @@ def train(model_config: ModelConfig, train_config: TrainConfig, split: SplitData
     val_labels = [int(r.label) for r in split.validation]
 
     params = models.init_params(model_config, train_config.seed)
-    optimizer = make_optimizer(params, train_config)
+    optimizer = (Sgd if train_config.optimizer == "sgd" else Adam)(
+        params, train_config.learning_rate)
     rng = np.random.default_rng(train_config.seed)
     n = len(train_seqs)
     batch = train_config.batch_size

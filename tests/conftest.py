@@ -1,3 +1,5 @@
+import json
+import struct
 import sys
 from pathlib import Path
 
@@ -41,6 +43,23 @@ def random_params(config, rng):
 def head_params(w1, b1, w2, b2):
     return {f"head.{name}": np.asarray(value, dtype=np.float64)
             for name, value in zip(("w1", "b1", "w2", "b2"), (w1, b1, w2, b2))}
+
+
+# Checkpoint metadata faults: each edit maps the parsed JSON metadata to a bad one.
+METADATA_FAULTS = {
+    "truncate-middle": lambda meta: dict(meta, truncate="middle"),
+    "metadata-list": lambda meta: [meta],
+    "stopwords-int": lambda meta: dict(meta, stopwords=5),
+    "epoch-string": lambda meta: dict(meta, epoch="x"),
+    "max-len-float": lambda meta: dict(meta, max_len=2.5),
+}
+
+
+def edit_checkpoint_metadata(blob: bytes, edit) -> bytes:
+    """Rewrite the length-prefixed JSON metadata after the magic and version."""
+    (length,) = struct.unpack_from("<Q", blob, 8)
+    meta = json.dumps(edit(json.loads(blob[16:16 + length]))).encode("utf-8")
+    return blob[:8] + struct.pack("<Q", len(meta)) + meta + blob[16 + length:]
 
 
 def synthetic_corpus(n_per_class: int = 20, extra_per_class: int = 2,

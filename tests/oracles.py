@@ -1,8 +1,8 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately written against plain numpy (or bare
-Python), not against the package's autodiff engine, so the two sides of
-each comparison share no code paths.
+Python), not against the package, so the two sides of each comparison
+share no code paths.
 """
 
 from __future__ import annotations
@@ -74,3 +74,31 @@ def nearest_rank(values, percentile: float) -> float:
     ordered = sorted(values)
     rank = math.ceil(percentile / 100.0 * len(ordered))
     return float(ordered[max(rank, 1) - 1])
+
+
+def operator_class_by_scan(entries, operator: str):
+    """The two-tier operator lookup, by brute force; None when unmapped.
+
+    An exact normalized match wins outright. Otherwise every pattern is
+    tried as a whole-word token window of the normalized operator; the
+    longest matching pattern wins, ties broken by class code and then
+    entry order.
+    """
+    def normalize(text):
+        return " ".join(text.casefold().split())
+
+    norm = normalize(operator)
+    patterns = [(normalize(pattern), cls) for pattern, cls in entries]
+    for pattern, cls in patterns:
+        if pattern == norm:
+            return cls
+    tokens = norm.split()
+    best, best_cls = None, None
+    for index, (pattern, cls) in enumerate(patterns):
+        words = pattern.split()
+        if any(tokens[i:i + len(words)] == words
+               for i in range(len(tokens) - len(words) + 1)):
+            key = (-len(pattern), int(cls), index)
+            if best is None or key < best:
+                best, best_cls = key, cls
+    return best_cls

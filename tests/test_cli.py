@@ -9,7 +9,7 @@ import pytest
 from aerotext.cli import main
 from aerotext.training import TrainConfig
 
-from conftest import FIXTURE_CSV
+from conftest import FIXTURE_CSV, METADATA_FAULTS, edit_checkpoint_metadata
 
 
 def write_mapping(path):
@@ -309,6 +309,23 @@ class TestEvaluate:
                                str(prepared), "--out", str(out)], capsys)
         assert code == 0
         assert 0.0 <= float(stdout.strip()) <= 1.0
+
+
+@pytest.mark.parametrize("fault", METADATA_FAULTS)
+def test_bad_checkpoint_metadata_exits_1_with_one_error_line(tmp_path, capsys, fault):
+    prepared = prepare_dir(tmp_path, capsys)
+    run_dir, _ = train_dir(tmp_path, capsys, prepared, epochs="1")
+    path = run_dir / "checkpoint.atxc"
+    path.write_bytes(edit_checkpoint_metadata(path.read_bytes(), METADATA_FAULTS[fault]))
+    out = tmp_path / "eval"
+    for argv in (["predict", "--checkpoint", str(path), "--text", "alpha common token"],
+                 ["evaluate", "--checkpoint", str(path), "--data", str(prepared),
+                  "--out", str(out)]):
+        code, stdout, err = run(argv, capsys)
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1, err
+    assert not out.exists()
 
 
 class TestPredict:

@@ -28,6 +28,8 @@ from aerotext.errors import (
     UnmappedOperator,
 )
 
+from oracles import operator_class_by_scan
+
 
 def repo_mapping() -> OperatorMapping:
     return OperatorMapping.load(
@@ -197,6 +199,48 @@ class TestAnnotate:
 
     def test_normalize_operator(self):
         assert normalize_operator("  U.S.  AIR\tFORCE ") == "u.s. air force"
+
+
+# Short tokens, several of one length, so random patterns share tokens and
+# tie on length across classes.
+WORDS = ["air", "jet", "sky", "co", "navy", "army", "u.s.", "inc"]
+
+
+@st.composite
+def spelled(draw, tokens):
+    """The tokens in random case, with random whitespace around and between."""
+    gap = st.sampled_from([" ", "  ", "\t", " \n "])
+    text = draw(st.sampled_from(["", " ", "\t"]))
+    for token in tokens:
+        text += draw(st.sampled_from([token, token.upper(), token.title()])) + draw(gap)
+    return text
+
+
+@st.composite
+def mapping_and_operator(draw):
+    phrases = st.lists(st.sampled_from(WORDS), min_size=1, max_size=4)
+    patterns = draw(st.lists(phrases, max_size=8, unique_by=tuple))
+    entries = [(draw(spelled(p)), draw(st.sampled_from(OperatorClass))) for p in patterns]
+    exact = [st.sampled_from(patterns)] if patterns else []
+    tokens = draw(st.one_of(
+        st.just([]),  # empty or all-whitespace
+        st.lists(st.sampled_from(WORDS), max_size=10),  # up to longer than every pattern
+        *exact))
+    return entries, draw(spelled(tokens))
+
+
+class TestLookupAgainstScan:
+    @given(mapping_and_operator())
+    @settings(max_examples=400, deadline=None)
+    def test_span_lookup_equals_the_two_tier_scan(self, case):
+        entries, operator = case
+        expected = operator_class_by_scan(entries, operator)
+        mapping = OperatorMapping(entries)
+        if expected is None:
+            with pytest.raises(UnmappedOperator):
+                mapping.lookup(operator)
+        else:
+            assert mapping.lookup(operator) is expected
 
 
 def _records(n):

@@ -27,7 +27,12 @@ from aerotext.training import (
     train,
 )
 
-from conftest import random_params, synthetic_corpus
+from conftest import (
+    METADATA_FAULTS,
+    edit_checkpoint_metadata,
+    random_params,
+    synthetic_corpus,
+)
 
 
 class TestCrossEntropy:
@@ -77,7 +82,7 @@ class TestOptimizers:
         rng = np.random.default_rng(0)
         grads = rng.uniform(-1, 1, 7)
         params = {"p": np.array(0.7)}
-        opt = Adam(params, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
+        opt = Adam(params, lr=0.01)
         theta, m, v = 0.7, 0.0, 0.0
         for t, g in enumerate(grads, start=1):
             opt.step({"p": np.array(g)})
@@ -270,7 +275,7 @@ class TestCheckpointIo:
 
     @pytest.mark.parametrize("fault", ["shape", "missing", "extra", "duplicate-id",
                                        "padding-id", "id-past-table", "non-integer-id",
-                                       "nan"])
+                                       "nan", *METADATA_FAULTS])
     @pytest.mark.parametrize("arch", models.ARCHITECTURES)
     def test_shape_mismatch_is_corrupt(self, arch, fault):
         ckpt = self.make_checkpoint(arch)
@@ -289,15 +294,18 @@ class TestCheckpointIo:
             ids["engine"] = ckpt.config.vocab_size + 2
         elif fault == "non-integer-id":
             ckpt.vocab.token_to_id = {"engine": "2.5"}
-        else:
+        elif fault == "nan":
             ckpt.tensors["head.b2"][0] = np.nan
         if fault in ("shape", "missing", "extra"):
             with pytest.raises(ShapeMismatch):
                 models.check_parameter_shapes(ckpt.config, ckpt.tensors)
         buf = io.BytesIO()
         save_checkpoint(ckpt, buf)
+        blob = buf.getvalue()
+        if fault in METADATA_FAULTS:
+            blob = edit_checkpoint_metadata(blob, METADATA_FAULTS[fault])
         with pytest.raises(CorruptCheckpoint):
-            load_checkpoint(io.BytesIO(buf.getvalue()))
+            load_checkpoint(io.BytesIO(blob))
 
     @pytest.mark.parametrize("arch", models.ARCHITECTURES)
     def test_params_round_trip_through_checkpoint(self, tmp_path, arch):
