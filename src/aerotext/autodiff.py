@@ -10,6 +10,7 @@ tensor serialization is shared with the checkpoint format. All data is
 
 from __future__ import annotations
 
+import io
 import math
 import struct
 from typing import BinaryIO, Callable, Mapping
@@ -72,13 +73,31 @@ def write_tensor(sink: BinaryIO, array: np.ndarray) -> None:
 def read_tensor(source: BinaryIO) -> np.ndarray:
     rank = struct.unpack("<Q", _read_bytes(source, 8))[0]
     shape = struct.unpack(f"<{rank}Q", _read_bytes(source, 8 * rank)) if rank else ()
-    count = int(np.prod(shape)) if shape else 1
-    raw = _read_bytes(source, 8 * count)
+    raw = _read_bytes(source, 8 * math.prod(shape))  # math.prod: no int64 wrap-around
     return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
 
 def _read_bytes(source: BinaryIO, n: int) -> bytes:
+    """Exactly n bytes, else EOFError. A seekable source refuses a length
+    beyond its end before reading, so a garbled length field cannot make
+    the read allocate it."""
+    left = _bytes_left(source)
+    if left is not None and n > left:
+        raise EOFError(f"expected {n} bytes, only {left} left")
     buf = source.read(n)
     if len(buf) != n:
         raise EOFError(f"expected {n} bytes, got {len(buf)}")
     return buf
+
+
+def _bytes_left(source: BinaryIO) -> int | None:
+    """Bytes from the read position to the end of a seekable source, else None."""
+    try:
+        if not source.seekable():
+            return None
+        here = source.tell()
+        end = source.seek(0, io.SEEK_END)
+        source.seek(here)
+    except (AttributeError, OSError):
+        return None
+    return end - here

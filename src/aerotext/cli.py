@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import __version__, metrics, training
+from . import __version__, jsonio, metrics, training
 from .corpus import (
     DEFAULT_OPERATOR_COLUMN,
     DEFAULT_SUMMARY_COLUMN,
@@ -88,9 +88,7 @@ def _write_manifest(out_dir: Path, command: str, seed: int | None,
         manifest["seed"] = seed
     if extra:
         manifest.update(extra)
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n",
-        encoding="utf-8")
+    (out_dir / "manifest.json").write_text(jsonio.dumps(manifest) + "\n", encoding="utf-8")
 
 
 def _write_split_csv(path: Path, records: list[LabeledRecord]) -> None:
@@ -262,11 +260,10 @@ def cmd_train(args) -> int:
                                          encoding="utf-8")
 
     final = history[-1]
-    print(json.dumps({"epoch": final.epoch, "train_loss": final.train_loss,
-                      "train_acc": final.train_accuracy,
-                      "val_loss": final.validation_loss,
-                      "val_acc": final.validation_accuracy},
-                     sort_keys=True, separators=(",", ":")))
+    print(jsonio.dumps({"epoch": final.epoch, "train_loss": final.train_loss,
+                        "train_acc": final.train_accuracy,
+                        "val_loss": final.validation_loss,
+                        "val_acc": final.validation_accuracy}))
     return 0
 
 
@@ -303,8 +300,7 @@ def cmd_predict(args) -> int:
         print("warning: input is empty after cleansing; "
               "predicting from an all-padding sequence", file=sys.stderr)
     label, probs = predictor.predict(text)
-    print(json.dumps({"class": label.label, "probs": [float(p) for p in probs]},
-                     sort_keys=True, separators=(",", ":")))
+    print(jsonio.dumps({"class": label.label, "probs": [float(p) for p in probs]}))
     return 0
 
 

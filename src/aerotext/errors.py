@@ -10,6 +10,10 @@ class InvalidConfig(AerotextError, ValueError):
     which the config dataclasses have always raised."""
 
 
+class NonfiniteValue(AerotextError):
+    """A NaN or infinity on its way into a JSON artifact or result line."""
+
+
 # --- corpus ---------------------------------------------------------------
 
 class MissingColumn(AerotextError):

@@ -10,17 +10,16 @@ is 0, so a class that is never predicted reports zeros instead of NaN.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from . import models, training
+from . import jsonio, models, training
 from .corpus import LabeledRecord, OperatorClass
 from .errors import EmptyInput, EmptyMatrix, IoFailure, LengthMismatch
-from .textprep import cleanse_text, encode_sequence
+from .textprep import TokenSequence, cleanse_text, encode_sequence
 from .training import EpochRecord, ModelCheckpoint
 
 CLASS_NAMES = tuple(c.label for c in OperatorClass)
@@ -123,11 +122,14 @@ class Predictor:
         models.check_parameter_shapes(checkpoint.config, checkpoint.tensors)
         self.checkpoint = checkpoint
 
-    def probs(self, text: str) -> np.ndarray:
+    def encode(self, text: str) -> TokenSequence:
         ckpt = self.checkpoint
         cleansed = cleanse_text(text, ckpt.stopwords)
-        seq = encode_sequence(cleansed, ckpt.vocab, ckpt.config.max_len, ckpt.truncate)
-        return models.forward_probs(ckpt.config, ckpt.tensors, seq)
+        return encode_sequence(cleansed, ckpt.vocab, ckpt.config.max_len, ckpt.truncate)
+
+    def probs(self, text: str) -> np.ndarray:
+        ckpt = self.checkpoint
+        return models.forward_probs(ckpt.config, ckpt.tensors, self.encode(text))
 
     def predict(self, text: str) -> tuple[OperatorClass, np.ndarray]:
         probs = self.probs(text)
@@ -141,7 +143,9 @@ def evaluate_model(checkpoint: ModelCheckpoint,
     if not records:
         raise EmptyInput("no records to evaluate")
     predictor = Predictor(checkpoint)
-    predictions = [predictor.predict(r.summary)[0] for r in records]
+    probs = models.score(checkpoint.config, checkpoint.tensors,
+                         [predictor.encode(r.summary) for r in records])
+    predictions = np.argmax(probs, axis=1).tolist()  # ties toward the lowest class, as predict_class
     labels = [r.label for r in records]
     counts = confusion_matrix(predictions, labels)
     return counts, classification_report(counts)
@@ -164,21 +168,22 @@ def report_json_dict(report: ClassificationReport, counts: np.ndarray,
 def export_reports(report: ClassificationReport, counts: np.ndarray,
                    history: Sequence[EpochRecord], directory: str | Path,
                    model_name: str = "model") -> dict[str, Path]:
-    """Write report.json, history.csv, per_class_metrics.csv, and
-    macro_summary.csv into `directory`. All outputs re-parse losslessly."""
+    """Write report.json, per_class_metrics.csv, macro_summary.csv and, for
+    a non-empty `history`, history.csv into `directory`; return the written
+    paths by key. All outputs re-parse losslessly."""
     directory = Path(directory)
+    blob = jsonio.dumps(report_json_dict(report, counts, model_name))
     try:
         directory.mkdir(parents=True, exist_ok=True)
         paths = {
             "report": directory / "report.json",
-            "history": directory / "history.csv",
             "per_class": directory / "per_class_metrics.csv",
             "macro": directory / "macro_summary.csv",
         }
-        blob = json.dumps(report_json_dict(report, counts, model_name),
-                          sort_keys=True, separators=(",", ":"))
         paths["report"].write_text(blob + "\n", encoding="utf-8")
-        paths["history"].write_text(training.history_to_csv(history), encoding="utf-8")
+        if history:
+            paths["history"] = directory / "history.csv"
+            paths["history"].write_text(training.history_to_csv(history), encoding="utf-8")
 
         with open(paths["per_class"], "w", encoding="utf-8", newline="\n") as handle:
             writer = csv.writer(handle, lineterminator="\n")

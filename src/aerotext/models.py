@@ -22,14 +22,23 @@ Parameters are one dict of arrays keyed by the `parameter_table` names,
 which are the checkpoint names. Each layer function returns its output and
 a closure, `back`, that maps the gradient of that output to the gradients
 of the layer's input and parameters. `loss_and_grads` chains the layers
-over a training batch; `forward_probs` runs the same forward on one record.
+over a training batch. `score` runs the same forward without the backward
+over any number of records, and gives each record bit-for-bit the
+probabilities it gets when scored alone; `forward_probs` is `score` on one
+record.
 
 Recurrent layers are length-packed: the batch is sorted longest first and
 laid out step-major, so step t touches only the rows still running. The
-input projection of every step is one matrix product before the loop, and
-the four LSTM gate matrices are concatenated into one on each call
-(Appleyard et al., arXiv:1604.01946). The CNN is k shifted matrix products,
-a ReLU and a max-pool (Kim, arXiv:1408.5882).
+four LSTM gate matrices are concatenated into one on each call (Appleyard
+et al., arXiv:1604.01946). Training computes the input projection of every
+step as one matrix product before the loop and each step as one more. The
+scorer cannot: a row of a (B, K) @ (K, N) BLAS product can change in its
+last bits with B (with OpenBLAS 0.3.31 it does for B < 5 at the default
+sizes and for larger B at smaller ones). So it projects each record's
+inputs with one product on that record's rows, the product a batch of one
+makes, and computes the step and head products row by row (`_rowwise`,
+one gemv per row). The CNN is k shifted matrix products, a ReLU and a
+max-pool (Kim, arXiv:1408.5882); the scorer runs it record by record.
 """
 
 from __future__ import annotations
@@ -189,8 +198,16 @@ def init_params(config: ModelConfig, seed: int) -> Params:
 # --- layers: each returns (output, back) --------------------------------------
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    """1 / (1 + exp(-x)), taken as exp(x) / (1 + exp(x)) below zero so that
+    exp cannot overflow; in place on one temporary, which halves its time
+    on a chunk of rows."""
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
+    return out
 
 
 def _gates(act: np.ndarray, hidden: int) -> list[np.ndarray]:
@@ -229,6 +246,68 @@ def embedding_lookup(ids, table: np.ndarray):
     return table[ids], back
 
 
+def _gemm(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """rows @ w.T as one BLAS product. A row of the result can differ in its
+    last bits with the number of rows, so only training uses it."""
+    return rows @ w.T
+
+
+def _rowwise(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """rows @ w.T as one (1, K) @ (K, N) product per row: numpy's matmul
+    makes one gemv call per row, the call a batch of one makes, so each row
+    is bit-for-bit what it is when its record is scored alone."""
+    return (rows[:, None, :] @ w.T)[:, 0]
+
+
+def _cell_weights(params: Mapping[str, np.ndarray], prefix: str):
+    """The gate names of an sRNN (`<prefix>.w`, `.b`) or an LSTM (`<prefix>.w_f`
+    ... `.b_g`), and its (w_h, w_x, b) with the gates fused in that order."""
+    names = ["w"] if f"{prefix}.w" in params else [f"w_{g}" for g in LSTM_GATES]
+    w = np.concatenate([params[f"{prefix}.{name}"] for name in names])
+    b = np.concatenate([params[f"{prefix}.b{name[1:]}"] for name in names])
+    hidden = w.shape[0] // len(names)
+    return names, w[:, :hidden], w[:, hidden:], b
+
+
+def _recur(z: np.ndarray, starts: list[int], batch: int, w_h: np.ndarray, product,
+           keep: bool):
+    """Run an sRNN (z has H columns) or an LSTM (4H) from a zero state over
+    the packed input projections `z` of `batch` rows, in place: step t adds
+    product(h, w_h) to its rows of z, which then hold the step's activations
+    (f, i, o, g for the LSTM).
+
+    Returns the final hidden state of each row, a zero vector for a row of
+    length 0, and, if `keep`, (h_in, c_in, tanh_c) per packed row for the
+    backward: the state and the cell state the row read, and tanh of its new
+    cell state.
+    """
+    hidden = w_h.shape[1]
+    lstm = z.shape[1] == 4 * hidden
+    h = np.zeros((batch, hidden))
+    c = np.zeros_like(h)
+    saved = tuple(np.empty((len(z), hidden)) for _ in range(3)) if keep else None
+    for s, e in zip(starts[:-1], starts[1:]):
+        n = e - s
+        a = z[s:e]
+        if keep:
+            saved[0][s:e] = h[:n]
+        a += product(h[:n], w_h)
+        if lstm:
+            a[:, :3 * hidden] = _sigmoid(a[:, :3 * hidden])
+            f, i, o, g = _gates(a, hidden)
+            np.tanh(g, out=g)
+            if keep:
+                saved[1][s:e] = c[:n]
+            c[:n] = f * c[:n] + i * g
+            tanh_c = np.tanh(c[:n])
+            if keep:
+                saved[2][s:e] = tanh_c
+            h[:n] = o * tanh_c
+        else:
+            h[:n] = np.tanh(a, out=a)
+    return h, saved
+
+
 def recurrent_forward(x: np.ndarray, lengths: np.ndarray, params: Mapping[str, np.ndarray],
                       prefix: str):
     """Run an sRNN (`<prefix>.w`, `.b`) or an LSTM (`<prefix>.w_f` ... `.b_g`)
@@ -239,38 +318,17 @@ def recurrent_forward(x: np.ndarray, lengths: np.ndarray, params: Mapping[str, n
     a zero vector for a row of length 0, and back(d_final) ->
     (d_x, {name: grad}).
     """
-    names = ["w"] if f"{prefix}.w" in params else [f"w_{g}" for g in LSTM_GATES]
-    w = np.concatenate([params[f"{prefix}.{name}"] for name in names])
-    b = np.concatenate([params[f"{prefix}.b{name[1:]}"] for name in names])
-    hidden = w.shape[1] - x.shape[1]
+    names, w_h, w_x, b = _cell_weights(params, prefix)
+    hidden = w_h.shape[1]
     lstm = len(names) == 4
-    w_h, w_x = w[:, :hidden], w[:, hidden:]
-    _, _, starts = _packing(lengths)
+    starts = _packing(lengths)[2].tolist()
     spans = list(zip(starts[:-1], starts[1:]))
-
-    z = x @ w_x.T + b             # every step's input projection at once
-    act = np.empty_like(z)        # gate activations (f, i, o, g for the LSTM)
-    h_in = np.zeros((len(x), hidden))   # the state each packed row reads
-    c_in, tanh_c = np.zeros_like(h_in), np.zeros_like(h_in)
-    h = np.zeros((len(lengths), hidden))
-    c = np.zeros_like(h)
-    for s, e in spans:
-        n = e - s
-        h_in[s:e] = h[:n]
-        a = z[s:e] + h[:n] @ w_h.T
-        if lstm:
-            act[s:e, :3 * hidden] = _sigmoid(a[:, :3 * hidden])
-            act[s:e, 3 * hidden:] = np.tanh(a[:, 3 * hidden:])
-            f, i, o, g = _gates(act[s:e], hidden)
-            c_in[s:e] = c[:n]
-            c[:n] = f * c[:n] + i * g
-            tanh_c[s:e] = np.tanh(c[:n])
-            h[:n] = o * tanh_c[s:e]
-        else:
-            h[:n] = act[s:e] = np.tanh(a)
+    # every step's input projection at once; the steps turn it into the activations
+    act = x @ w_x.T + b
+    h, (h_in, c_in, tanh_c) = _recur(act, starts, len(lengths), w_h, _gemm, keep=True)
 
     def back(d_final):
-        dz = np.empty_like(z)
+        dz = np.empty_like(act)
         dh = np.array(d_final, dtype=np.float64)   # rows finishing at step t start here
         dc = np.zeros_like(dh)
         for s, e in reversed(spans):
@@ -351,14 +409,15 @@ def cnn_forward(x: np.ndarray, filters: np.ndarray, bias: np.ndarray):
 
 
 def head_logits(features: np.ndarray, params: Mapping[str, np.ndarray],
-                masks: np.ndarray | None = None):
+                masks: np.ndarray | None = None, product=_gemm):
     """relu(features @ W1.T + b1) @ W2.T + b2 -> (B, 3); `masks` (B,
-    head_units) applies (inverted) dropout to the hidden layer. `back`
-    returns (d_features, {name: grad})."""
+    head_units) applies (inverted) dropout to the hidden layer, and
+    `product` computes both matrix products. `back` returns
+    (d_features, {name: grad})."""
     w1, b1, w2, b2 = (params[f"head.{name}"] for name in ("w1", "b1", "w2", "b2"))
     if features.shape[1:] != (w1.shape[1],):
         raise ShapeMismatch(f"head expects features {(w1.shape[1],)}, got {features.shape[1:]}")
-    pre = features @ w1.T + b1
+    pre = product(features, w1) + b1
     hidden = np.maximum(pre, 0.0)
     if masks is not None:
         hidden = hidden * masks
@@ -370,7 +429,7 @@ def head_logits(features: np.ndarray, params: Mapping[str, np.ndarray],
         d_pre = d_pre * (pre > 0)
         return d_pre @ w1, {"head.w1": d_pre.T @ features, "head.b1": d_pre.sum(axis=0),
                             "head.w2": d_logits.T @ hidden, "head.b2": d_logits.sum(axis=0)}
-    return hidden @ w2.T + b2, back
+    return product(hidden, w2) + b2, back
 
 
 def predict_class(probs) -> OperatorClass:
@@ -382,6 +441,12 @@ def predict_class(probs) -> OperatorClass:
 
 
 # --- the chain ------------------------------------------------------------------
+
+def _true_lengths(seqs: Sequence[TokenSequence]) -> np.ndarray:
+    """How many ids of each record a recurrent encoder reads: its true
+    length, at most its padded length."""
+    return np.array([min(s.true_length, len(s.ids)) for s in seqs], dtype=np.int64)
+
 
 def encode_features(config: ModelConfig, params: Mapping[str, np.ndarray],
                     seqs: Sequence[TokenSequence]):
@@ -398,7 +463,7 @@ def encode_features(config: ModelConfig, params: Mapping[str, np.ndarray],
         x, embedding_back = embedding_lookup([s.ids for s in seqs], table)
         encoded, encoder_back = cnn_forward(x, params["cnn.filters"], params["cnn.bias"])
     else:
-        lengths = np.array([min(s.true_length, len(s.ids)) for s in seqs])
+        lengths = _true_lengths(seqs)
         order = np.argsort(-lengths, kind="stable")
         lengths = lengths[order]
         padded = np.zeros((len(seqs), int(lengths.max(initial=0))), dtype=np.int64)
@@ -439,11 +504,67 @@ def loss_and_grads(config: ModelConfig, params: Mapping[str, np.ndarray],
     return loss, {name: grads[name] for name in params}
 
 
+SCORE_CHUNK = 64  # records scored together; bounds the packed projections of one chunk
+
+
+def score(config: ModelConfig, params: Mapping[str, np.ndarray],
+          seqs: Sequence[TokenSequence]) -> np.ndarray:
+    """The one scorer: one 3-class probability row per record. Training's
+    scoring pass, evaluation and prediction all call it.
+
+    Each row is bit-for-bit the training forward of its record on a batch of
+    one, whatever batch the record comes in: the records are sorted longest
+    first and scored SCORE_CHUNK at a time, each record's input projection
+    is one product on its own rows, the recurrent steps and the head use
+    `_rowwise`, and the CNN runs `cnn_forward` record by record.
+    """
+    lengths = _true_lengths(seqs)
+    order = np.argsort(-lengths, kind="stable")
+    probs = np.empty((len(seqs), NUM_CLASSES))
+    for start in range(0, len(seqs), SCORE_CHUNK):
+        chunk = order[start:start + SCORE_CHUNK]
+        features = _scoring_features(config, params, [seqs[i] for i in chunk], lengths[chunk])
+        logits, _ = head_logits(features, params, product=_rowwise)
+        probs[chunk] = ad.softmax(logits)
+    return probs
+
+
+def _scoring_features(config: ModelConfig, params: Mapping[str, np.ndarray],
+                      seqs: Sequence[TokenSequence], lengths: np.ndarray) -> np.ndarray:
+    """Encoder features (B, feature_size) of records whose true `lengths` do
+    not increase."""
+    table = params["embedding.table"]
+    if config.arch == "cnn":
+        filters, bias = params["cnn.filters"], params["cnn.bias"]
+        return np.concatenate([cnn_forward(embedding_lookup([s.ids], table)[0], filters, bias)[0]
+                               for s in seqs])
+    # embedded rows record by record; record r holds rows ends[r] - lengths[r] ... ends[r] - 1
+    x, _ = embedding_lookup([i for s, n in zip(seqs, lengths) for i in s.ids[:n]], table)
+    ends = np.cumsum(lengths)
+    if config.arch != "blstm":
+        return _recurrent_scores(x, lengths, ends, params, config.arch)
+    # each record reversed within its own rows
+    reverse = np.repeat(2 * ends - lengths - 1, lengths) - np.arange(len(x))
+    return np.concatenate([_recurrent_scores(x, lengths, ends, params, "blstm.fwd"),
+                           _recurrent_scores(x[reverse], lengths, ends, params, "blstm.bwd")],
+                          axis=1)
+
+
+def _recurrent_scores(x: np.ndarray, lengths: np.ndarray, ends: np.ndarray,
+                      params: Mapping[str, np.ndarray], prefix: str) -> np.ndarray:
+    """Final hidden states of an sRNN or LSTM over records whose embedded rows
+    `x` lie record by record (see `_scoring_features`). Each record's input
+    projection, one product on its own rows, is scattered into the step-major
+    packed layout of `_packing`: sum(lengths) rows, no padding."""
+    _, w_h, w_x, b = _cell_weights(params, prefix)
+    starts = _packing(lengths)[2]
+    z = np.empty((len(x), w_x.shape[0]))
+    for row, (n, end) in enumerate(zip(lengths.tolist(), ends.tolist())):
+        z[starts[:n] + row] = x[end - n:end] @ w_x.T + b
+    return _recur(z, starts.tolist(), len(lengths), w_h, _rowwise, keep=False)[0]
+
+
 def forward_probs(config: ModelConfig, params: Mapping[str, np.ndarray],
                   seq: TokenSequence) -> np.ndarray:
-    """The one scorer: the training forward on one record, as its 3-class
-    probability vector. Training's scoring pass, evaluation and prediction
-    all call this."""
-    features, _ = encode_features(config, params, [seq])
-    logits, _ = head_logits(features, params)
-    return ad.softmax(logits[0])
+    """The probability vector of one record: `score` on a batch of one."""
+    return score(config, params, [seq])[0]

@@ -10,7 +10,6 @@ data.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from collections import Counter
@@ -19,6 +18,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from . import jsonio
 from .errors import EmptyCorpus
 
 PAD_ID = 0
@@ -170,7 +170,7 @@ class CorpusStats:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        return jsonio.dumps(self.to_json_dict())
 
 
 def _nearest_rank(sorted_values: list[int], percentile: float) -> float:

@@ -19,7 +19,7 @@ from typing import BinaryIO, Mapping, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from . import models
+from . import jsonio, models
 from .corpus import LabeledRecord, SplitDataset
 from .errors import (
     CorruptCheckpoint,
@@ -135,7 +135,7 @@ def save_checkpoint(ckpt: ModelCheckpoint, sink: str | Path | BinaryIO) -> None:
         return
     meta = dict(ckpt.config.to_json_dict(), epoch=ckpt.epoch,
                 truncate=ckpt.truncate, stopwords=sorted(ckpt.stopwords))
-    meta_blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    meta_blob = jsonio.dumps(meta).encode("utf-8")
     vocab_blob = ckpt.vocab.to_tsv().encode("utf-8")
     sink.write(CHECKPOINT_MAGIC)
     sink.write(struct.pack("<I", ckpt.version))
@@ -154,7 +154,9 @@ def save_checkpoint(ckpt: ModelCheckpoint, sink: str | Path | BinaryIO) -> None:
 
 def load_checkpoint(source: str | Path | BinaryIO) -> ModelCheckpoint:
     if isinstance(source, (str, Path)):
-        with open(source, "rb") as handle:
+        # unbuffered: every read has an exact size, and the end-of-file check
+        # of each read seeks, which would discard a read buffer
+        with open(source, "rb", buffering=0) as handle:
             return load_checkpoint(handle)
     try:
         magic = ad._read_bytes(source, 4)
@@ -216,13 +218,9 @@ def _encode_all(records: Sequence[LabeledRecord], vocab: Vocabulary,
 def _dataset_metrics(config: ModelConfig, params: Mapping[str, np.ndarray],
                      sequences: Sequence[TokenSequence],
                      labels: Sequence[int]) -> tuple[float, float]:
-    total_loss = 0.0
-    correct = 0
-    for seq, label in zip(sequences, labels):
-        probs = models.forward_probs(config, params, seq)
-        total_loss += ad.cross_entropy(probs, label)
-        if int(np.argmax(probs)) == label:
-            correct += 1
+    probs = models.score(config, params, sequences)
+    total_loss = sum(ad.cross_entropy(p, label) for p, label in zip(probs, labels))
+    correct = int(np.count_nonzero(np.argmax(probs, axis=1) == np.asarray(labels)))
     n = len(sequences)
     return total_loss / n, correct / n
 

@@ -102,3 +102,63 @@ def operator_class_by_scan(entries, operator: str):
             if best is None or key < best:
                 best, best_cls = key, cls
     return best_cls
+
+
+def _sigmoid_by_sign(x):
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _unroll_one(x, params, prefix):
+    """One record's recurrence as a batch of one, product by product."""
+    names = ["w"] if f"{prefix}.w" in params else [f"w_{g}" for g in "fiog"]
+    w = np.concatenate([params[f"{prefix}.{name}"] for name in names])
+    b = np.concatenate([params[f"{prefix}.b{name[1:]}"] for name in names])
+    hidden = w.shape[1] - x.shape[1]
+    w_h, w_x = w[:, :hidden], w[:, hidden:]
+    z = x @ w_x.T + b
+    h = np.zeros((1, hidden))
+    c = np.zeros_like(h)
+    for t in range(len(x)):
+        a = z[t:t + 1] + h @ w_h.T
+        if len(names) == 1:
+            h = np.tanh(a)
+            continue
+        act = np.empty_like(a)
+        act[:, :3 * hidden] = _sigmoid_by_sign(a[:, :3 * hidden])
+        act[:, 3 * hidden:] = np.tanh(a[:, 3 * hidden:])
+        f, i, o, g = (act[:, k * hidden:(k + 1) * hidden] for k in range(4))
+        c = f * c + i * g
+        h = o * np.tanh(c)
+    return h
+
+
+def forward_probs_per_record(arch: str, params, ids, true_length: int) -> np.ndarray:
+    """The scorer as it ran before records were scored in batches: the
+    training forward on one record, with the same matrix products on the
+    same memory layouts, so its output is the reference bit for bit."""
+    table = params["embedding.table"]
+    if arch == "cnn":
+        x = table[np.asarray([ids], dtype=np.int64)]
+        filters = params["cnn.filters"]
+        k, d, n_filters = filters.shape
+        positions = x.shape[1] - k + 1
+        windows = [x[:, j:j + positions].reshape(positions, d) for j in range(k)]
+        conv = windows[0] @ filters[0]
+        for j in range(1, k):
+            conv = conv + windows[j] @ filters[j]
+        conv = (conv + params["cnn.bias"]).reshape(1, positions, n_filters)
+        features = np.maximum(conv, 0.0).max(axis=1)
+    else:
+        length = min(true_length, len(ids))
+        x = table[np.asarray(ids[:length], dtype=np.int64)]
+        if arch == "blstm":
+            features = np.concatenate([_unroll_one(x, params, "blstm.fwd"),
+                                       _unroll_one(x[::-1].copy(), params, "blstm.bwd")], axis=1)
+        else:
+            features = _unroll_one(x, params, arch)
+    hidden = np.maximum(features @ params["head.w1"].T + params["head.b1"], 0.0)
+    logits = (hidden @ params["head.w2"].T + params["head.b2"])[0]
+    shifted = logits - logits.max()
+    e = np.exp(shifted)
+    return e / e.sum()

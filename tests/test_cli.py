@@ -1,12 +1,17 @@
 import csv
+import dataclasses
 import json
+import math
 import shutil
+import struct
 import subprocess
 
 import numpy as np
 import pytest
 
+from aerotext import jsonio, metrics
 from aerotext.cli import main
+from aerotext.errors import NonfiniteValue
 from aerotext.training import TrainConfig
 
 from conftest import FIXTURE_CSV, METADATA_FAULTS, edit_checkpoint_metadata
@@ -168,20 +173,33 @@ class TestTrain:
         assert code == 1
         assert "usage" in err
 
-    def test_poisoned_final_step_aborts_without_checkpoint(self, tmp_path, capsys,
-                                                           monkeypatch):
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_poisoned_final_step_aborts_without_checkpoint(self, tmp_path, capsys):
         # one batch per epoch: the per-batch loss check runs before the step,
-        # so only the end-of-epoch scoring can see what a NaN rate did
+        # so only the end-of-epoch scoring can see what a huge finite rate did
+        # (a NaN rate, past the config check, is refused earlier by the manifest)
         prepared = prepare_dir(tmp_path, capsys)
-        monkeypatch.setattr(TrainConfig, "__post_init__", lambda self: None)
         out = tmp_path / "run"
         code, stdout, err = run(["train", "--data", str(prepared), "--arch", "cnn",
-                                 "--epochs", "2", "--lr", "nan", "--batch-size", "64",
+                                 "--epochs", "2", "--lr", "1e308", "--batch-size", "64",
                                  "--out", str(out)], capsys)
         assert code == 1
         assert err.startswith("error:") and "epoch 1" in err
         assert stdout == ""
         assert not (out / "checkpoint.atxc").exists()
+
+    def test_nan_rate_past_the_config_check_is_refused_by_the_manifest(self, tmp_path, capsys,
+                                                                       monkeypatch):
+        prepared = prepare_dir(tmp_path, capsys)
+        monkeypatch.setattr(TrainConfig, "__post_init__", lambda self: None)
+        out = tmp_path / "run"
+        code, stdout, err = run(["train", "--data", str(prepared), "--arch", "cnn",
+                                 "--lr", "nan", "--out", str(out)], capsys)
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1, err
+        assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("command, extra, env_seed", [
@@ -309,6 +327,52 @@ class TestEvaluate:
                                str(prepared), "--out", str(out)], capsys)
         assert code == 0
         assert 0.0 <= float(stdout.strip()) <= 1.0
+
+    def test_writes_no_history(self, tmp_path, capsys):
+        prepared = prepare_dir(tmp_path, capsys)
+        run_dir, _ = train_dir(tmp_path, capsys, prepared, epochs="1")
+        out = tmp_path / "eval"
+        code, _, err = run(["evaluate", "--checkpoint", str(run_dir / "checkpoint.atxc"),
+                            "--data", str(prepared), "--out", str(out)], capsys)
+        assert code == 0, err
+        assert sorted(path.name for path in out.iterdir()) == [
+            "macro_summary.csv", "manifest.json", "per_class_metrics.csv", "report.json"]
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert sorted(outputs) == ["macro", "per_class", "report"]
+        assert not any(path.endswith("history.csv") for path in outputs.values())
+
+
+def test_nan_in_a_report_exits_1_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    prepared = prepare_dir(tmp_path, capsys)
+    run_dir, _ = train_dir(tmp_path, capsys, prepared, epochs="1")
+    real = metrics.classification_report
+    monkeypatch.setattr(metrics, "classification_report",
+                        lambda counts: dataclasses.replace(real(counts), macro_f1=math.nan))
+    out = tmp_path / "eval"
+    code, stdout, err = run(["evaluate", "--checkpoint", str(run_dir / "checkpoint.atxc"),
+                             "--data", str(prepared), "--out", str(out)], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_json_refuses_non_finite_values(value):
+    with pytest.raises(NonfiniteValue):
+        jsonio.dumps({"probs": [0.5, value]})
+
+
+def test_metadata_length_past_the_end_exits_1_with_one_error_line(tmp_path, capsys):
+    prepared = prepare_dir(tmp_path, capsys)
+    run_dir, _ = train_dir(tmp_path, capsys, prepared, epochs="1")
+    path = run_dir / "checkpoint.atxc"
+    blob = path.read_bytes()
+    path.write_bytes(blob[:8] + struct.pack("<Q", 2**40) + blob[16:])
+    code, stdout, err = run(["predict", "--checkpoint", str(path), "--text", "alpha"], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1, err
 
 
 @pytest.mark.parametrize("fault", METADATA_FAULTS)

@@ -4,6 +4,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aerotext import autodiff as ad
 from aerotext import models
@@ -22,7 +24,7 @@ from aerotext.models import (
 from aerotext.textprep import TokenSequence
 
 from conftest import head_params, random_params
-from oracles import lstm_unroll, srnn_unroll
+from oracles import forward_probs_per_record, lstm_unroll, srnn_unroll
 
 
 def head_probs(features, head):
@@ -429,3 +431,81 @@ class TestEncodeFeatures:
         seq = TokenSequence([2, 5, 3, 2, 0, 0], 4)
         assert ad.gradient_check(
             lambda: models.loss_and_grads(config, params, [seq], [1]), params) < 1e-4
+
+
+@st.composite
+def scoring_batches(draw):
+    """(config, params, seqs): a random model and a batch whose size is
+    small or straddles one or two scoring chunks, with repeated records, a
+    record of length 0 and records of the full max_len. Ids past a record's
+    true length are random too: the recurrent encoders must ignore them."""
+    arch = draw(st.sampled_from(models.ARCHITECTURES))
+    max_len = draw(st.integers(min_value=3, max_value=9))
+    chunk = models.SCORE_CHUNK
+    size = draw(st.one_of(st.integers(min_value=1, max_value=6),
+                          st.integers(min_value=chunk - 2, max_value=chunk + 2),
+                          st.integers(min_value=2 * chunk - 1, max_value=2 * chunk + 1)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    config = ModelConfig(arch=arch, vocab_size=9, embedding_dim=4, hidden_units=5,
+                         head_units=6, max_len=max_len, conv_filters=4,
+                         conv_kernel=draw(st.integers(min_value=1, max_value=3)))
+    params = {name: 0.5 * array for name, array in random_params(config, rng).items()}
+
+    def record(length):
+        return TokenSequence(rng.integers(0, 11, max_len).tolist(), length)
+
+    distinct = [record(0), record(max_len)] + [
+        record(int(rng.integers(0, max_len + 1))) for _ in range(max(1, size // 3))]
+    seqs = [distinct[i] for i in rng.integers(0, len(distinct), size)]
+    seqs[rng.integers(size)] = distinct[0]
+    seqs[rng.integers(size)] = distinct[1]
+    return config, params, seqs
+
+
+class TestScore:
+    @given(scoring_batches())
+    @settings(max_examples=80, deadline=None)
+    def test_each_row_is_the_record_scored_alone(self, case):
+        # the recurrent step and head products are one gemv per row, so no
+        # row depends on its batch; gemm would break this in the last bits
+        config, params, seqs = case
+        probs = models.score(config, params, seqs)
+        assert probs.shape == (len(seqs), 3)
+        for row, seq in zip(probs, seqs):
+            alone = models.score(config, params, [seq])
+            assert np.array_equal(row, alone[0])
+            assert np.array_equal(alone[0], models.forward_probs(config, params, seq))
+
+    @given(scoring_batches())
+    @settings(max_examples=80, deadline=None)
+    def test_rows_equal_the_per_record_reference(self, case):
+        config, params, seqs = case
+        probs = models.score(config, params, seqs)
+        for row, seq in zip(probs, seqs):
+            want = forward_probs_per_record(config.arch, params, seq.ids, seq.true_length)
+            assert np.array_equal(row, want)
+
+    @pytest.mark.parametrize("arch", models.ARCHITECTURES)
+    def test_default_sizes_equal_the_per_record_reference(self, arch):
+        # at the default layer sizes a row of a (B, K) @ (K, N) gemm differs
+        # from the batch of one for small B
+        config = ModelConfig(arch=arch, vocab_size=40, max_len=24)
+        params = init_params(config, seed=2)
+        rng = np.random.default_rng(2)
+        seqs = [TokenSequence(rng.integers(0, 42, 24).tolist(), int(rng.integers(0, 25)))
+                for _ in range(models.SCORE_CHUNK + 6)]
+        probs = models.score(config, params, seqs)
+        for row, seq in zip(probs, seqs):
+            want = forward_probs_per_record(arch, params, seq.ids, seq.true_length)
+            assert np.array_equal(row, want)
+
+    def test_no_records_give_no_rows(self):
+        config = mini_config("lstm")
+        assert models.score(config, init_params(config, seed=0), []).shape == (0, 3)
+
+    @pytest.mark.parametrize("arch", models.ARCHITECTURES)
+    def test_out_of_range_id_is_refused(self, arch):
+        config = mini_config(arch)
+        seqs = [TokenSequence([2, 3, 0, 0, 0, 0], 2), TokenSequence([2, 99, 0, 0, 0, 0], 2)]
+        with pytest.raises(IdOutOfRange):
+            models.score(config, init_params(config, seed=0), seqs)

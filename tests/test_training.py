@@ -1,5 +1,6 @@
 import io
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -259,6 +260,32 @@ class TestCheckpointIo:
         for cut in (2, 10, len(buf.getvalue()) - 3):
             with pytest.raises(CorruptCheckpoint):
                 load_checkpoint(io.BytesIO(buf.getvalue()[:cut]))
+
+    @pytest.mark.parametrize("field", ["metadata-length", "tensor-rank", "tensor-count"])
+    def test_length_past_the_end_is_refused_before_it_is_read(self, field):
+        ckpt = self.make_checkpoint()
+        ckpt.tensors = {"a": np.zeros((2, 2))}  # the file ends in name, rank 2, dims, 4 values
+        buf = io.BytesIO()
+        save_checkpoint(ckpt, buf)
+        blob = buf.getvalue()
+        if field == "metadata-length":
+            blob = blob[:8] + struct.pack("<Q", 2**40) + blob[16:]
+        elif field == "tensor-rank":
+            blob = blob[:-56] + struct.pack("<Q", 2**40)
+        else:
+            blob = blob[:-48] + struct.pack("<2Q", 2**20, 2**20)
+
+        class ReadSizes(io.BytesIO):
+            largest = 0
+
+            def read(self, n=-1):
+                self.largest = max(self.largest, n)
+                return super().read(n)
+
+        source = ReadSizes(blob)
+        with pytest.raises(CorruptCheckpoint):
+            load_checkpoint(source)
+        assert source.largest <= len(blob)
 
     def test_bad_magic(self):
         with pytest.raises(CorruptCheckpoint):
