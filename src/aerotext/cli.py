@@ -17,6 +17,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, jsonio, metrics, training
 from .corpus import (
     DEFAULT_OPERATOR_COLUMN,
@@ -365,7 +367,10 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        # overflow and NaN are reported by the package's own checks
+        # (NonfiniteLoss, NonfiniteValue) as one error line, not numpy warnings
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1

@@ -22,30 +22,32 @@ Parameters are one dict of arrays keyed by the `parameter_table` names,
 which are the checkpoint names. Each layer function returns its output and
 a closure, `back`, that maps the gradient of that output to the gradients
 of the layer's input and parameters. `loss_and_grads` chains the layers
-over a training batch. `score` runs the same forward without the backward
-over any number of records, and gives each record bit-for-bit the
-probabilities it gets when scored alone; `forward_probs` is `score` on one
-record.
+over a training batch. There is one forward: `score` runs the same
+`encode_features` with train=False over any number of records and gives
+each record bit-for-bit the probabilities it gets when scored alone;
+`forward_probs` is `score` on one record.
 
 Recurrent layers are length-packed: the batch is sorted longest first and
 laid out step-major, so step t touches only the rows still running. The
 four LSTM gate matrices are concatenated into one on each call (Appleyard
 et al., arXiv:1604.01946). Training computes the input projection of every
-step as one matrix product before the loop and each step as one more. The
-scorer cannot: a row of a (B, K) @ (K, N) BLAS product can change in its
-last bits with B (with OpenBLAS 0.3.31 it does for B < 5 at the default
-sizes and for larger B at smaller ones). So it projects each record's
-inputs with one product on that record's rows, the product a batch of one
-makes, and computes the step and head products row by row (`_rowwise`,
-one gemv per row). The CNN is k shifted matrix products, a ReLU and a
-max-pool (Kim, arXiv:1408.5882); the scorer runs it record by record.
+step as one matrix product before the loop and each step as one more, and
+keeps the state its backward reads. Scoring cannot use those products: a
+row of a (B, K) @ (K, N) BLAS product can change in its last bits with B
+(with OpenBLAS 0.3.31 it does for B < 5 at the default sizes and for
+larger B at smaller ones). So with train=False each record's input
+projection is one product on that record's rows, the product a batch of
+one makes, the step and head products are row by row (`_rowwise`, one
+gemv per row), and no state is kept. The CNN is k shifted matrix products,
+a ReLU and a max-pool (Kim, arXiv:1408.5882); its products have no
+row-by-row form, so the scorer runs it one record per call.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -98,13 +100,7 @@ class ModelConfig:
         return self.hidden_units
 
     def to_json_dict(self) -> dict:
-        return {
-            "arch": self.arch, "vocab_size": self.vocab_size,
-            "embedding_dim": self.embedding_dim, "hidden_units": self.hidden_units,
-            "head_units": self.head_units, "num_classes": self.num_classes,
-            "max_len": self.max_len, "conv_filters": self.conv_filters,
-            "conv_kernel": self.conv_kernel, "dropout_rate": self.dropout_rate,
-        }
+        return asdict(self)
 
 
 # --- the parameter table ----------------------------------------------------
@@ -269,63 +265,61 @@ def _cell_weights(params: Mapping[str, np.ndarray], prefix: str):
     return names, w[:, :hidden], w[:, hidden:], b
 
 
-def _recur(z: np.ndarray, starts: list[int], batch: int, w_h: np.ndarray, product,
-           keep: bool):
-    """Run an sRNN (z has H columns) or an LSTM (4H) from a zero state over
-    the packed input projections `z` of `batch` rows, in place: step t adds
-    product(h, w_h) to its rows of z, which then hold the step's activations
-    (f, i, o, g for the LSTM).
-
-    Returns the final hidden state of each row, a zero vector for a row of
-    length 0, and, if `keep`, (h_in, c_in, tanh_c) per packed row for the
-    backward: the state and the cell state the row read, and tanh of its new
-    cell state.
-    """
-    hidden = w_h.shape[1]
-    lstm = z.shape[1] == 4 * hidden
-    h = np.zeros((batch, hidden))
-    c = np.zeros_like(h)
-    saved = tuple(np.empty((len(z), hidden)) for _ in range(3)) if keep else None
-    for s, e in zip(starts[:-1], starts[1:]):
-        n = e - s
-        a = z[s:e]
-        if keep:
-            saved[0][s:e] = h[:n]
-        a += product(h[:n], w_h)
-        if lstm:
-            a[:, :3 * hidden] = _sigmoid(a[:, :3 * hidden])
-            f, i, o, g = _gates(a, hidden)
-            np.tanh(g, out=g)
-            if keep:
-                saved[1][s:e] = c[:n]
-            c[:n] = f * c[:n] + i * g
-            tanh_c = np.tanh(c[:n])
-            if keep:
-                saved[2][s:e] = tanh_c
-            h[:n] = o * tanh_c
-        else:
-            h[:n] = np.tanh(a, out=a)
-    return h, saved
-
-
 def recurrent_forward(x: np.ndarray, lengths: np.ndarray, params: Mapping[str, np.ndarray],
-                      prefix: str):
+                      prefix: str, train: bool = True):
     """Run an sRNN (`<prefix>.w`, `.b`) or an LSTM (`<prefix>.w_f` ... `.b_g`)
     over a packed batch from a zero state.
 
     `x` holds the packed input rows (see `_packing`) and `lengths` the
     non-increasing true lengths. Returns the final hidden state of each row,
     a zero vector for a row of length 0, and back(d_final) ->
-    (d_x, {name: grad}).
+    (d_x, {name: grad}). With train=False each record's input projection is
+    one product on its own rows and each step product is `_rowwise`, so a
+    row does not depend on its batch; no state is kept and back is None.
     """
     names, w_h, w_x, b = _cell_weights(params, prefix)
     hidden = w_h.shape[1]
     lstm = len(names) == 4
-    starts = _packing(lengths)[2].tolist()
+    batch = len(lengths)
+    starts = _packing(lengths)[2]
+    if train:
+        # every step's input projection at once; the steps turn it into the activations
+        act = x @ w_x.T + b
+        product = _gemm
+        # per packed row, for the backward: the state and the cell state the
+        # row read, and tanh of its new cell state
+        h_in, c_in, tanh_c = (np.empty((len(x), hidden)) for _ in range(3))
+    else:
+        act = np.empty((len(x), w_x.shape[0]))
+        for row, n in enumerate(lengths.tolist()):
+            own = starts[:n] + row
+            act[own] = x[own] @ w_x.T + b
+        product = _rowwise
+    starts = starts.tolist()
     spans = list(zip(starts[:-1], starts[1:]))
-    # every step's input projection at once; the steps turn it into the activations
-    act = x @ w_x.T + b
-    h, (h_in, c_in, tanh_c) = _recur(act, starts, len(lengths), w_h, _gemm, keep=True)
+    h = np.zeros((batch, hidden))
+    c = np.zeros_like(h)
+    for s, e in spans:
+        n = e - s
+        a = act[s:e]
+        if train:
+            h_in[s:e] = h[:n]
+        a += product(h[:n], w_h)
+        if lstm:
+            a[:, :3 * hidden] = _sigmoid(a[:, :3 * hidden])
+            f, i, o, g = _gates(a, hidden)
+            np.tanh(g, out=g)
+            if train:
+                c_in[s:e] = c[:n]
+            c[:n] = f * c[:n] + i * g
+            tanh_new = np.tanh(c[:n])
+            if train:
+                tanh_c[s:e] = tanh_new
+            h[:n] = o * tanh_new
+        else:
+            h[:n] = np.tanh(a, out=a)
+    if not train:
+        return h, None
 
     def back(d_final):
         dz = np.empty_like(act)
@@ -354,25 +348,30 @@ def recurrent_forward(x: np.ndarray, lengths: np.ndarray, params: Mapping[str, n
     return h, back
 
 
-def blstm_forward(x: np.ndarray, lengths: np.ndarray, params: Mapping[str, np.ndarray]):
+def blstm_forward(x: np.ndarray, lengths: np.ndarray, params: Mapping[str, np.ndarray],
+                  train: bool = True):
     """concat(forward-order final state, reversed-order final state) -> (B, 2H).
 
     Each row is reversed within its own true length. The reversed pass reads
     a permutation of the packed rows of the already-embedded batch, so the
-    embedding is gathered once for both directions.
+    embedding is gathered once for both directions. `train` is passed on to
+    `recurrent_forward`; with train=False back is None.
     """
     rows, steps, starts = _packing(lengths)
     reverse = starts[lengths[rows] - 1 - steps] + rows
-    h_fwd, fwd_back = recurrent_forward(x, lengths, params, "blstm.fwd")
-    h_bwd, bwd_back = recurrent_forward(x[reverse], lengths, params, "blstm.bwd")
+    h_fwd, fwd_back = recurrent_forward(x, lengths, params, "blstm.fwd", train)
+    h_bwd, bwd_back = recurrent_forward(x[reverse], lengths, params, "blstm.bwd", train)
     hidden = h_fwd.shape[1]
+    features = np.concatenate([h_fwd, h_bwd], axis=1)
+    if not train:
+        return features, None
 
     def back(d_out):
         d_x, grads = fwd_back(d_out[:, :hidden])
         d_reversed, bwd_grads = bwd_back(d_out[:, hidden:])
         d_x[reverse] += d_reversed
         return d_x, grads | bwd_grads
-    return np.concatenate([h_fwd, h_bwd], axis=1), back
+    return features, back
 
 
 def cnn_forward(x: np.ndarray, filters: np.ndarray, bias: np.ndarray):
@@ -449,13 +448,15 @@ def _true_lengths(seqs: Sequence[TokenSequence]) -> np.ndarray:
 
 
 def encode_features(config: ModelConfig, params: Mapping[str, np.ndarray],
-                    seqs: Sequence[TokenSequence]):
+                    seqs: Sequence[TokenSequence], train: bool = True):
     """A batch of TokenSequences -> (features (B, feature_size), back),
     with back(d_features) -> {name: grad} for the embedding table and
     the encoder.
 
     Recurrent paths embed only the first true_length ids of each row; the
-    CNN embeds the whole padded sequence.
+    CNN embeds the whole padded sequence. `train` is passed on to the
+    recurrent encoders (see `recurrent_forward`); with train=False back is
+    None.
     """
     table = params["embedding.table"]
     if config.arch == "cnn":
@@ -472,11 +473,13 @@ def encode_features(config: ModelConfig, params: Mapping[str, np.ndarray],
         rows, steps, _ = _packing(lengths)
         x, embedding_back = embedding_lookup(padded[rows, steps], table)
         if config.arch == "blstm":
-            encoded, encoder_back = blstm_forward(x, lengths, params)
+            encoded, encoder_back = blstm_forward(x, lengths, params, train)
         else:
-            encoded, encoder_back = recurrent_forward(x, lengths, params, config.arch)
+            encoded, encoder_back = recurrent_forward(x, lengths, params, config.arch, train)
     features = np.empty_like(encoded)
     features[order] = encoded
+    if not train:
+        return features, None
 
     def back(d_features):
         d_x, grads = encoder_back(d_features[order])
@@ -514,54 +517,20 @@ def score(config: ModelConfig, params: Mapping[str, np.ndarray],
 
     Each row is bit-for-bit the training forward of its record on a batch of
     one, whatever batch the record comes in: the records are sorted longest
-    first and scored SCORE_CHUNK at a time, each record's input projection
-    is one product on its own rows, the recurrent steps and the head use
-    `_rowwise`, and the CNN runs `cnn_forward` record by record.
+    first and go through `encode_features` with train=False SCORE_CHUNK at a
+    time (the CNN, whose products have no row-by-row form, one at a time),
+    and the head uses `_rowwise`.
     """
     lengths = _true_lengths(seqs)
     order = np.argsort(-lengths, kind="stable")
+    chunk_size = 1 if config.arch == "cnn" else SCORE_CHUNK
     probs = np.empty((len(seqs), NUM_CLASSES))
-    for start in range(0, len(seqs), SCORE_CHUNK):
-        chunk = order[start:start + SCORE_CHUNK]
-        features = _scoring_features(config, params, [seqs[i] for i in chunk], lengths[chunk])
+    for start in range(0, len(seqs), chunk_size):
+        chunk = order[start:start + chunk_size]
+        features, _ = encode_features(config, params, [seqs[i] for i in chunk], train=False)
         logits, _ = head_logits(features, params, product=_rowwise)
         probs[chunk] = ad.softmax(logits)
     return probs
-
-
-def _scoring_features(config: ModelConfig, params: Mapping[str, np.ndarray],
-                      seqs: Sequence[TokenSequence], lengths: np.ndarray) -> np.ndarray:
-    """Encoder features (B, feature_size) of records whose true `lengths` do
-    not increase."""
-    table = params["embedding.table"]
-    if config.arch == "cnn":
-        filters, bias = params["cnn.filters"], params["cnn.bias"]
-        return np.concatenate([cnn_forward(embedding_lookup([s.ids], table)[0], filters, bias)[0]
-                               for s in seqs])
-    # embedded rows record by record; record r holds rows ends[r] - lengths[r] ... ends[r] - 1
-    x, _ = embedding_lookup([i for s, n in zip(seqs, lengths) for i in s.ids[:n]], table)
-    ends = np.cumsum(lengths)
-    if config.arch != "blstm":
-        return _recurrent_scores(x, lengths, ends, params, config.arch)
-    # each record reversed within its own rows
-    reverse = np.repeat(2 * ends - lengths - 1, lengths) - np.arange(len(x))
-    return np.concatenate([_recurrent_scores(x, lengths, ends, params, "blstm.fwd"),
-                           _recurrent_scores(x[reverse], lengths, ends, params, "blstm.bwd")],
-                          axis=1)
-
-
-def _recurrent_scores(x: np.ndarray, lengths: np.ndarray, ends: np.ndarray,
-                      params: Mapping[str, np.ndarray], prefix: str) -> np.ndarray:
-    """Final hidden states of an sRNN or LSTM over records whose embedded rows
-    `x` lie record by record (see `_scoring_features`). Each record's input
-    projection, one product on its own rows, is scattered into the step-major
-    packed layout of `_packing`: sum(lengths) rows, no padding."""
-    _, w_h, w_x, b = _cell_weights(params, prefix)
-    starts = _packing(lengths)[2]
-    z = np.empty((len(x), w_x.shape[0]))
-    for row, (n, end) in enumerate(zip(lengths.tolist(), ends.tolist())):
-        z[starts[:n] + row] = x[end - n:end] @ w_x.T + b
-    return _recur(z, starts.tolist(), len(lengths), w_h, _rowwise, keep=False)[0]
 
 
 def forward_probs(config: ModelConfig, params: Mapping[str, np.ndarray],

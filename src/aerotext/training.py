@@ -51,6 +51,10 @@ class TrainConfig:
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise InvalidConfig(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        for name in ("batch_size", "epochs", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise InvalidConfig(f"{name} must be an integer, got {value!r}")
         if self.batch_size < 1 or self.epochs < 1:
             raise InvalidConfig("batch_size and epochs must be >= 1")
         if self.seed < 0:

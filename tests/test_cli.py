@@ -2,13 +2,17 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import shutil
 import struct
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aerotext
 from aerotext import jsonio, metrics
 from aerotext.cli import main
 from aerotext.errors import NonfiniteValue
@@ -173,8 +177,6 @@ class TestTrain:
         assert code == 1
         assert "usage" in err
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
     def test_poisoned_final_step_aborts_without_checkpoint(self, tmp_path, capsys):
         # one batch per epoch: the per-batch loss check runs before the step,
         # so only the end-of-epoch scoring can see what a huge finite rate did
@@ -187,6 +189,24 @@ class TestTrain:
         assert code == 1
         assert err.startswith("error:") and "epoch 1" in err
         assert stdout == ""
+        assert not (out / "checkpoint.atxc").exists()
+
+    def test_overflowing_rate_prints_one_error_line_and_no_warnings(self, tmp_path, capsys):
+        # a separate process, so numpy's RuntimeWarnings reach stderr as they
+        # would in a shell instead of pytest's warning capture
+        prepared = prepare_dir(tmp_path, capsys)
+        src = Path(aerotext.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        out = tmp_path / "run"
+        result = subprocess.run(
+            [sys.executable, "-m", "aerotext.cli", "train", "--data", str(prepared),
+             "--arch", "lstm", "--lr", "1e308", "--embedding-dim", "4", "--hidden-units", "4",
+             "--head-units", "4", "--out", str(out)],
+            capture_output=True, text=True, env=env)
+        assert result.returncode == 1
+        assert len(result.stderr.splitlines()) == 1, result.stderr
+        assert result.stderr.startswith("error:")
         assert not (out / "checkpoint.atxc").exists()
 
     def test_nan_rate_past_the_config_check_is_refused_by_the_manifest(self, tmp_path, capsys,

@@ -11,6 +11,7 @@ from aerotext.corpus import LabeledRecord, OperatorClass, SplitDataset
 from aerotext.errors import (
     CorruptCheckpoint,
     EmptySplit,
+    InvalidConfig,
     NonfiniteLoss,
     ShapeMismatch,
     VersionUnsupported,
@@ -47,6 +48,14 @@ class TestCrossEntropy:
     def test_zero_probability_clamps(self):
         assert ad.cross_entropy(np.array([1.0, 0.0, 0.0]), 2) == pytest.approx(
             27.631021115928547, abs=1e-12)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [("batch_size", 2.5), ("epochs", 2.0),
+                                              ("seed", 1.5)])
+    def test_non_integer_count_is_refused(self, field, value):
+        with pytest.raises(InvalidConfig, match=field):
+            TrainConfig(**{field: value})
 
 
 class TestOptimizers:
