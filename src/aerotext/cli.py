@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import os
 import sys
@@ -31,7 +32,7 @@ from .corpus import (
     ingest_records,
     split_dataset,
 )
-from .errors import AerotextError, InvalidConfig, MalformedCsv
+from .errors import AerotextError, InvalidConfig, MalformedCsv, read_utf8
 from .models import ARCHITECTURES, ModelConfig
 from .textprep import (
     DEFAULT_MAX_LEN,
@@ -103,20 +104,19 @@ def _write_split_csv(path: Path, records: list[LabeledRecord]) -> None:
 
 def _read_split_csv(path: Path) -> list[LabeledRecord]:
     records = []
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        next(reader, None)
-        for row in reader:
-            if not row:
-                continue
-            where = f"{path}:{reader.line_num}"
-            if len(row) != 2:
-                raise MalformedCsv(f"{where}: expected 2 fields (label, summary), got {len(row)}")
-            try:
-                label = OperatorClass.from_name(row[0])
-            except ValueError as exc:
-                raise MalformedCsv(f"{where}: {exc}") from None
-            records.append(LabeledRecord(label, row[1]))
+    reader = csv.reader(io.StringIO(read_utf8(path, MalformedCsv), newline=""))
+    next(reader, None)
+    for row in reader:
+        if not row:
+            continue
+        where = f"{path}:{reader.line_num}"
+        if len(row) != 2:
+            raise MalformedCsv(f"{where}: expected 2 fields (label, summary), got {len(row)}")
+        try:
+            label = OperatorClass.from_name(row[0])
+        except ValueError as exc:
+            raise MalformedCsv(f"{where}: {exc}") from None
+        records.append(LabeledRecord(label, row[1]))
     return records
 
 
@@ -126,8 +126,6 @@ def cmd_prepare(args) -> int:
     for option, value in (("--max-len", args.max_len), ("--vocab-size", args.vocab_size)):
         if value < 1:
             raise InvalidConfig(f"{option} must be >= 1, got {value}")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stopwords = load_stopwords(args.stopwords) if args.stopwords else default_stopwords()
 
     records = ingest_records(args.input, args.operator_column, args.summary_column)
@@ -148,6 +146,8 @@ def cmd_prepare(args) -> int:
     vocab = fit_vocabulary([r.summary for r in split.train], args.vocab_size)
     stats = word_count_stats([r.summary for r in labeled])
 
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for name, filename in SPLIT_FILES.items():
         _write_split_csv(out_dir / filename, getattr(split, name))
     vocab.save(out_dir / "vocab.tsv")
@@ -198,7 +198,7 @@ def _load_prepared(data_dir: Path) -> dict:
     try:
         prep = json.loads(manifest_path.read_text(encoding="utf-8"))["config"]
         max_len, truncate = prep["max_len"], prep["truncate"]
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InvalidConfig(f"{manifest_path}: not valid JSON: {exc}") from None
     except (KeyError, TypeError) as exc:
         raise InvalidConfig(f"{manifest_path}: no prepare config with max_len and "

@@ -24,6 +24,7 @@ from .errors import (
     MissingColumn,
     TooFewRecords,
     UnmappedOperator,
+    read_utf8,
 )
 
 DEFAULT_OPERATOR_COLUMN = "Operator"
@@ -91,7 +92,7 @@ class OperatorMapping:
     def load(cls, path: str | Path) -> "OperatorMapping":
         """Read a UTF-8 TSV of `pattern<TAB>class-name`; `#` starts a comment."""
         entries = []
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        for lineno, line in enumerate(read_utf8(path, InvalidMapping).splitlines(), start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
@@ -147,8 +148,9 @@ def ingest_records(source: str | Path | TextIO | io.BufferedIOBase,
     """Parse an RFC-4180 CSV with a header row into RawRecords, in file order.
 
     Quoted fields may embed commas and newlines. Raises MissingColumn if
-    a named column is absent and MalformedCsv (with the row number) on
-    unbalanced quoting or rows too short to hold both columns.
+    a named column is absent, MalformedCsv (with the row number) on
+    unbalanced quoting or rows too short to hold both columns, and
+    MalformedCsv naming the file on bytes that are not UTF-8.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as handle:
@@ -180,6 +182,9 @@ def ingest_records(source: str | Path | TextIO | io.BufferedIOBase,
         return records
     except csv.Error as exc:
         raise MalformedCsv(f"row {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        name = getattr(source, "name", "input")
+        raise MalformedCsv(f"{name}: not UTF-8 text ({exc.reason})") from None
 
 
 # --- cleaning ----------------------------------------------------------------

@@ -1,8 +1,21 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and `read_utf8`, which raises them."""
+
+from pathlib import Path
 
 
 class AerotextError(Exception):
     """Base class for every error this package raises on purpose."""
+
+
+def read_utf8(path: str | Path, error: type[AerotextError]) -> str:
+    """The text of a UTF-8 file, newlines untranslated; `error`, naming the
+    file and line, when it is not UTF-8."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
 
 
 class InvalidConfig(AerotextError, ValueError):

@@ -119,8 +119,8 @@ class Predictor:
     """Applies a checkpoint's full preprocessing and forward pass to raw text."""
 
     def __init__(self, checkpoint: ModelCheckpoint):
-        models.check_parameter_shapes(checkpoint.config, checkpoint.tensors)
         self.checkpoint = checkpoint
+        self.params = models.fuse_checkpoint(checkpoint.config, checkpoint.tensors)
 
     def encode(self, text: str) -> TokenSequence:
         ckpt = self.checkpoint
@@ -128,8 +128,7 @@ class Predictor:
         return encode_sequence(cleansed, ckpt.vocab, ckpt.config.max_len, ckpt.truncate)
 
     def probs(self, text: str) -> np.ndarray:
-        ckpt = self.checkpoint
-        return models.forward_probs(ckpt.config, ckpt.tensors, self.encode(text))
+        return models.forward_probs(self.checkpoint.config, self.params, self.encode(text))
 
     def predict(self, text: str) -> tuple[OperatorClass, np.ndarray]:
         probs = self.probs(text)
@@ -143,7 +142,7 @@ def evaluate_model(checkpoint: ModelCheckpoint,
     if not records:
         raise EmptyInput("no records to evaluate")
     predictor = Predictor(checkpoint)
-    probs = models.score(checkpoint.config, checkpoint.tensors,
+    probs = models.score(checkpoint.config, predictor.params,
                          [predictor.encode(r.summary) for r in records])
     predictions = np.argmax(probs, axis=1).tolist()  # ties toward the lowest class, as predict_class
     labels = [r.label for r in records]

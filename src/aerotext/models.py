@@ -18,29 +18,31 @@ State updates:
     BLSTM   concat(final h of forward pass, final h of reversed pass)
     CNN     relu(valid 1-d convolution + bias), max over positions
 
-Parameters are one dict of arrays keyed by the `parameter_table` names,
-which are the checkpoint names. Each layer function returns its output and
-a closure, `back`, that maps the gradient of that output to the gradients
-of the layer's input and parameters. `loss_and_grads` chains the layers
-over a training batch. There is one forward: `score` runs the same
-`encode_features` with train=False over any number of records and gives
-each record bit-for-bit the probabilities it gets when scored alone;
-`forward_probs` is `score` on one record.
+Parameters are one dict of arrays keyed by the `parameter_table` names. An
+LSTM cell is one (4H, H+d) matrix and one 4H bias with the gates fused in
+f, i, o, g order (Appleyard et al., arXiv:1604.01946); only the checkpoint
+keeps one tensor per gate (`checkpoint_views`, `fuse_checkpoint`). Each
+layer function returns its output and a closure, `back`, that maps the
+gradient of that output to the gradients of the layer's input and
+parameters. `loss_and_grads` chains the layers over a training batch.
+There is one forward: `score` runs the same `encode_features` with
+train=False over any number of records and gives each record bit-for-bit
+the probabilities it gets when scored alone; `forward_probs` is `score` on
+one record.
 
 Recurrent layers are length-packed: the batch is sorted longest first and
-laid out step-major, so step t touches only the rows still running. The
-four LSTM gate matrices are concatenated into one on each call (Appleyard
-et al., arXiv:1604.01946). Training computes the input projection of every
-step as one matrix product before the loop and each step as one more, and
-keeps the state its backward reads. Scoring cannot use those products: a
-row of a (B, K) @ (K, N) BLAS product can change in its last bits with B
-(with OpenBLAS 0.3.31 it does for B < 5 at the default sizes and for
-larger B at smaller ones). So with train=False each record's input
-projection is one product on that record's rows, the product a batch of
-one makes, the step and head products are row by row (`_rowwise`, one
-gemv per row), and no state is kept. The CNN is k shifted matrix products,
-a ReLU and a max-pool (Kim, arXiv:1408.5882); its products have no
-row-by-row form, so the scorer runs it one record per call.
+laid out step-major, so step t touches only the rows still running.
+Training computes the input projection of every step as one matrix product
+before the loop and each step as one more, and keeps the state its
+backward reads. Scoring cannot use those products: a row of a (B, K) @
+(K, N) BLAS product can change in its last bits with B (with OpenBLAS
+0.3.31 it does for B < 5 at the default sizes and for larger B at smaller
+ones). So with train=False each record's input projection is one product
+on that record's rows, the product a batch of one makes, the step and head
+products are row by row (`_rowwise`, one gemv per row), and no state is
+kept. The CNN is k shifted matrix products, a ReLU and a max-pool (Kim,
+arXiv:1408.5882); its products have no row-by-row form, so the scorer runs
+it one record per call.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from .textprep import TokenSequence
 
 ARCHITECTURES = ("cnn", "srnn", "lstm", "blstm")
 NUM_CLASSES = 3
-LSTM_GATES = "fiog"  # gate order of the LSTM parameter names and of the fused matrix
+LSTM_GATES = "fiog"  # gate order of the fused LSTM rows and of their checkpoint names
 
 Params = dict[str, np.ndarray]
 
@@ -107,7 +109,9 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class ParamSpec:
-    """One parameter tensor: its checkpoint name, shape and initial values.
+    """One parameter tensor: its name, shape and initial values, and the
+    checkpoint names of its equal row blocks if the checkpoint stores them
+    as tensors of their own (`parts`, an LSTM cell's gates).
 
     `init` is one of
       "glorot"       uniform within sqrt(6/(fan_in+fan_out)), fans given
@@ -115,13 +119,21 @@ class ParamSpec:
                      starts at zero so padded positions contribute nothing
                      to the convolution until trained
       "zeros"
-      "forget_bias"  +1, so early training does not erase the LSTM cell state
+      "forget_bias"  +1 on the forget gate block, so early training does
+                     not erase the LSTM cell state
     """
 
     name: str
     shape: tuple[int, ...]
     init: str
     fans: tuple[int, int] | None = None
+    parts: tuple[str, ...] = ()
+
+    @property
+    def stored(self) -> dict[str, tuple[int, ...]]:
+        """Its checkpoint names and shapes, in row order."""
+        names = self.parts or (self.name,)
+        return {name: (self.shape[0] // len(names), *self.shape[1:]) for name in names}
 
     def initial(self, rng: np.random.Generator) -> np.ndarray:
         if self.init == "glorot":
@@ -132,23 +144,27 @@ class ParamSpec:
             table = rng.uniform(-0.05, 0.05, self.shape)
             table[0] = 0.0
             return table
-        return np.full(self.shape, 1.0 if self.init == "forget_bias" else 0.0)
+        values = np.zeros(self.shape)
+        if self.init == "forget_bias":
+            values[:self.shape[0] // len(self.parts)] = 1.0
+        return values
 
 
 def parameter_table(config: ModelConfig) -> list[ParamSpec]:
-    """Every parameter tensor of the configured model, in checkpoint order.
+    """Every parameter tensor of the configured model.
 
     Initialization draws from the seeded generator in this order, so the
-    order fixes the initial values.
+    order fixes the initial values; a fused LSTM matrix is one draw, which
+    reads the generator as one draw per gate did.
     """
     h, d, u = config.hidden_units, config.embedding_dim, config.head_units
     k, f, feat = config.conv_kernel, config.conv_filters, config.feature_size
 
     def lstm(prefix: str) -> list[ParamSpec]:
-        return ([ParamSpec(f"{prefix}.w_{g}", (h, h + d), "glorot", (h + d, h))
-                 for g in LSTM_GATES]
-                + [ParamSpec(f"{prefix}.b_f", (h,), "forget_bias")]
-                + [ParamSpec(f"{prefix}.b_{g}", (h,), "zeros") for g in LSTM_GATES[1:]])
+        return [ParamSpec(f"{prefix}.w", (4 * h, h + d), "glorot", (h + d, h),
+                          tuple(f"{prefix}.w_{g}" for g in LSTM_GATES)),
+                ParamSpec(f"{prefix}.b", (4 * h,), "forget_bias",
+                          parts=tuple(f"{prefix}.b_{g}" for g in LSTM_GATES))]
 
     cells = {
         "cnn": [ParamSpec("cnn.filters", (k, d, f), "glorot", (k * d, f)),
@@ -167,12 +183,13 @@ def parameter_table(config: ModelConfig) -> list[ParamSpec]:
 
 
 def expected_parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    return {spec.name: spec.shape for spec in parameter_table(config)}
+    """The name and shape of every checkpoint tensor, in table order."""
+    return {name: shape for spec in parameter_table(config) for name, shape in spec.stored.items()}
 
 
 def check_parameter_shapes(config: ModelConfig, arrays: Mapping[str, np.ndarray]) -> None:
-    """Raise ShapeMismatch unless `arrays` holds exactly the table's names,
-    each with the table's shape."""
+    """Raise ShapeMismatch unless `arrays` holds exactly the checkpoint's
+    names, each with its shape."""
     expected = expected_parameter_shapes(config)
     if set(arrays) != set(expected):
         missing = sorted(set(expected) - set(arrays))
@@ -183,6 +200,19 @@ def check_parameter_shapes(config: ModelConfig, arrays: Mapping[str, np.ndarray]
             raise ShapeMismatch(f"{name}: expected shape {shape}, got {tuple(arrays[name].shape)}")
 
 
+def checkpoint_views(config: ModelConfig, params: Mapping[str, np.ndarray]) -> Params:
+    """The checkpoint tensors of `params` without a copy: each fused cell
+    tensor as views of its gate row blocks."""
+    return {name: block for spec in parameter_table(config)
+            for name, block in zip(spec.stored, np.split(params[spec.name], len(spec.stored)))}
+
+
+def fuse_checkpoint(config: ModelConfig, tensors: Mapping[str, np.ndarray]) -> Params:
+    """The parameters of checkpoint tensors, after `check_parameter_shapes`:
+    each cell's gate blocks concatenated once, every other tensor as it is."""
+    check_parameter_shapes(config, tensors)
+    return {spec.name: np.concatenate([tensors[name] for name in spec.parts]) if spec.parts
+            else tensors[spec.name] for spec in parameter_table(config)}
 
 
 def init_params(config: ModelConfig, seed: int) -> Params:
@@ -255,20 +285,10 @@ def _rowwise(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (rows[:, None, :] @ w.T)[:, 0]
 
 
-def _cell_weights(params: Mapping[str, np.ndarray], prefix: str):
-    """The gate names of an sRNN (`<prefix>.w`, `.b`) or an LSTM (`<prefix>.w_f`
-    ... `.b_g`), and its (w_h, w_x, b) with the gates fused in that order."""
-    names = ["w"] if f"{prefix}.w" in params else [f"w_{g}" for g in LSTM_GATES]
-    w = np.concatenate([params[f"{prefix}.{name}"] for name in names])
-    b = np.concatenate([params[f"{prefix}.b{name[1:]}"] for name in names])
-    hidden = w.shape[0] // len(names)
-    return names, w[:, :hidden], w[:, hidden:], b
-
-
 def recurrent_forward(x: np.ndarray, lengths: np.ndarray, params: Mapping[str, np.ndarray],
                       prefix: str, train: bool = True):
-    """Run an sRNN (`<prefix>.w`, `.b`) or an LSTM (`<prefix>.w_f` ... `.b_g`)
-    over a packed batch from a zero state.
+    """Run the sRNN or LSTM cell `<prefix>.w` (G*H, H+d), `<prefix>.b` (G*H,)
+    over a packed batch from a zero state; G is 1, or 4 for an LSTM's gates.
 
     `x` holds the packed input rows (see `_packing`) and `lengths` the
     non-increasing true lengths. Returns the final hidden state of each row,
@@ -277,9 +297,10 @@ def recurrent_forward(x: np.ndarray, lengths: np.ndarray, params: Mapping[str, n
     one product on its own rows and each step product is `_rowwise`, so a
     row does not depend on its batch; no state is kept and back is None.
     """
-    names, w_h, w_x, b = _cell_weights(params, prefix)
-    hidden = w_h.shape[1]
-    lstm = len(names) == 4
+    w, b = params[f"{prefix}.w"], params[f"{prefix}.b"]
+    hidden = w.shape[1] - x.shape[1]
+    w_h, w_x = w[:, :hidden], w[:, hidden:]
+    lstm = w.shape[0] == 4 * hidden
     batch = len(lengths)
     starts = _packing(lengths)[2]
     if train:
@@ -329,22 +350,18 @@ def recurrent_forward(x: np.ndarray, lengths: np.ndarray, params: Mapping[str, n
             n = e - s
             if lstm:
                 f, i, o, g = _gates(act[s:e], hidden)
+                d_f, d_i, d_o, d_g = _gates(dz[s:e], hidden)
                 dc_t = dc[:n] + dh[:n] * o * (1.0 - tanh_c[s:e] * tanh_c[s:e])
-                dz[s:e] = np.concatenate([dc_t * c_in[s:e] * f * (1.0 - f),
-                                          dc_t * g * i * (1.0 - i),
-                                          dh[:n] * tanh_c[s:e] * o * (1.0 - o),
-                                          dc_t * i * (1.0 - g * g)], axis=1)
+                d_f[:] = dc_t * c_in[s:e] * f * (1.0 - f)
+                d_i[:] = dc_t * g * i * (1.0 - i)
+                d_o[:] = dh[:n] * tanh_c[s:e] * o * (1.0 - o)
+                d_g[:] = dc_t * i * (1.0 - g * g)
                 dc[:n] = dc_t * f
             else:
                 dz[s:e] = dh[:n] * (1.0 - act[s:e] * act[s:e])
             dh[:n] = dz[s:e] @ w_h
-        dw = np.split(np.concatenate([dz.T @ h_in, dz.T @ x], axis=1), len(names))
-        db = np.split(dz.sum(axis=0), len(names))
-        grads = {}
-        for name, dw_gate, db_gate in zip(names, dw, db):
-            grads[f"{prefix}.{name}"] = dw_gate
-            grads[f"{prefix}.b{name[1:]}"] = db_gate
-        return dz @ w_x, grads
+        return dz @ w_x, {f"{prefix}.w": np.concatenate([dz.T @ h_in, dz.T @ x], axis=1),
+                          f"{prefix}.b": dz.sum(axis=0)}
     return h, back
 
 

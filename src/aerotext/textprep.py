@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import jsonio
-from .errors import EmptyCorpus
+from .errors import EmptyCorpus, InvalidConfig, read_utf8
 
 PAD_ID = 0
 OOV_ID = 1
@@ -44,7 +44,7 @@ def cleanse_text(raw: str, stopwords: frozenset[str] | set[str] = frozenset()) -
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Read a newline-delimited UTF-8 stopword file (lowercased entries)."""
     words = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in read_utf8(path, InvalidConfig).splitlines():
         word = line.strip().lower()
         if word:
             words.add(word)

@@ -124,9 +124,8 @@ class ModelCheckpoint:
     vocab: Vocabulary
     stopwords: frozenset[str]
     truncate: str
-    tensors: dict[str, np.ndarray]
+    tensors: dict[str, np.ndarray]   # by checkpoint name: one tensor per LSTM gate
     epoch: int
-    version: int = CHECKPOINT_VERSION
 
 
 def save_checkpoint(ckpt: ModelCheckpoint, sink: str | Path | BinaryIO) -> None:
@@ -142,7 +141,7 @@ def save_checkpoint(ckpt: ModelCheckpoint, sink: str | Path | BinaryIO) -> None:
     meta_blob = jsonio.dumps(meta).encode("utf-8")
     vocab_blob = ckpt.vocab.to_tsv().encode("utf-8")
     sink.write(CHECKPOINT_MAGIC)
-    sink.write(struct.pack("<I", ckpt.version))
+    sink.write(struct.pack("<I", CHECKPOINT_VERSION))
     sink.write(struct.pack("<Q", len(meta_blob)))
     sink.write(meta_blob)
     sink.write(struct.pack("<Q", len(vocab_blob)))
@@ -180,7 +179,7 @@ def load_checkpoint(source: str | Path | BinaryIO) -> ModelCheckpoint:
             name = ad._read_bytes(source, name_len).decode("utf-8")
             tensors[name] = ad.read_tensor(source)
     except (EOFError, UnicodeDecodeError, json.JSONDecodeError, struct.error,
-            OverflowError, MemoryError, ValueError) as exc:
+            OverflowError, MemoryError, RecursionError, ValueError) as exc:
         raise CorruptCheckpoint(f"truncated or garbled checkpoint: {exc}") from None
 
     if not isinstance(meta, dict):
@@ -208,8 +207,7 @@ def load_checkpoint(source: str | Path | BinaryIO) -> ModelCheckpoint:
     nonfinite = [name for name, array in sorted(tensors.items()) if not np.isfinite(array).all()]
     if nonfinite:
         raise CorruptCheckpoint(f"non-finite values in tensors {nonfinite}")
-    return ModelCheckpoint(config, vocab, frozenset(stopwords), truncate, tensors, epoch,
-                           version)
+    return ModelCheckpoint(config, vocab, frozenset(stopwords), truncate, tensors, epoch)
 
 
 # --- the loop -------------------------------------------------------------------
@@ -266,7 +264,7 @@ def train(model_config: ModelConfig, train_config: TrainConfig, split: SplitData
 
     history: list[EpochRecord] = []
     best: EpochRecord | None = None
-    best_tensors: dict[str, np.ndarray] = {}
+    best_params: dict[str, np.ndarray] = {}
 
     for epoch in range(1, train_config.epochs + 1):
         order = rng.permutation(n)
@@ -290,10 +288,10 @@ def train(model_config: ModelConfig, train_config: TrainConfig, split: SplitData
         history.append(record)
         if _improved(record, best, train_config.select_best_by):
             best = record
-            best_tensors = {name: p.copy() for name, p in params.items()}
+            best_params = {name: p.copy() for name, p in params.items()}
 
-    checkpoint = ModelCheckpoint(model_config, vocab, frozenset(stopwords),
-                                 truncate, best_tensors, best.epoch)
+    checkpoint = ModelCheckpoint(model_config, vocab, frozenset(stopwords), truncate,
+                                 models.checkpoint_views(model_config, best_params), best.epoch)
     return checkpoint, history
 
 

@@ -36,8 +36,8 @@ def random_params(config, rng):
     """Every parameter of `config` drawn uniformly in [-1, 1]: a random O(1)
     point, since at the Glorot/embedding init scales some true gradients
     fall below the reach of central differences."""
-    return {name: rng.uniform(-1.0, 1.0, shape)
-            for name, shape in models.expected_parameter_shapes(config).items()}
+    return {spec.name: rng.uniform(-1.0, 1.0, spec.shape)
+            for spec in models.parameter_table(config)}
 
 
 def head_params(w1, b1, w2, b2):
@@ -45,20 +45,24 @@ def head_params(w1, b1, w2, b2):
             for name, value in zip(("w1", "b1", "w2", "b2"), (w1, b1, w2, b2))}
 
 
-# Checkpoint metadata faults: each edit maps the parsed JSON metadata to a bad one.
+# Checkpoint metadata faults: each edit maps the parsed JSON metadata to a bad
+# one, or to the raw bytes that replace it.
 METADATA_FAULTS = {
     "truncate-middle": lambda meta: dict(meta, truncate="middle"),
     "metadata-list": lambda meta: [meta],
     "stopwords-int": lambda meta: dict(meta, stopwords=5),
     "epoch-string": lambda meta: dict(meta, epoch="x"),
     "max-len-float": lambda meta: dict(meta, max_len=2.5),
+    "deep-nesting": lambda meta: b"[" * 100_000,
 }
 
 
 def edit_checkpoint_metadata(blob: bytes, edit) -> bytes:
     """Rewrite the length-prefixed JSON metadata after the magic and version."""
     (length,) = struct.unpack_from("<Q", blob, 8)
-    meta = json.dumps(edit(json.loads(blob[16:16 + length]))).encode("utf-8")
+    meta = edit(json.loads(blob[16:16 + length]))
+    if not isinstance(meta, bytes):
+        meta = json.dumps(meta).encode("utf-8")
     return blob[:8] + struct.pack("<Q", len(meta)) + meta + blob[16 + length:]
 
 

@@ -108,8 +108,8 @@ def test_criterion_3_bidirectional_decomposition():
         t_max = length + int(rng.integers(0, 3))
         params = {}
         for direction in ("fwd", "bwd"):
-            params |= {f"blstm.{direction}.w_{g}": rng.uniform(-1, 1, (h, h + d)) for g in "fiog"}
-            params |= {f"blstm.{direction}.b_{g}": rng.uniform(-1, 1, h) for g in "fiog"}
+            params[f"blstm.{direction}.w"] = rng.uniform(-1, 1, (4 * h, h + d))
+            params[f"blstm.{direction}.b"] = rng.uniform(-1, 1, 4 * h)
         seq = rng.uniform(-1, 1, (max(t_max, 1), d))
         lengths = np.array([length])
         both = blstm_forward(seq[:length], lengths, params)[0][0]

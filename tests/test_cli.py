@@ -45,6 +45,9 @@ def write_keyword_csv(path, rows_per_class=5):
     return path
 
 
+NOT_UTF8 = "<a file that is not UTF-8>"
+
+
 def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -232,11 +235,23 @@ class TestTrain:
     ("prepare", ["--vocab-size", "0"], None),
     ("prepare", ["--max-len", "0"], None),
     ("prepare", [], "abc"),
+    ("prepare", ["--input", NOT_UTF8], None),
+    ("prepare", ["--mapping", NOT_UTF8], None),
+    ("prepare", ["--stopwords", NOT_UTF8], None),
 ], ids=["lr-0", "lr-nan", "dropout-1.5", "conv-kernel-500", "batch-size-0",
-        "seed--1", "vocab-size-0", "max-len-0", "env-seed-abc"])
+        "seed--1", "vocab-size-0", "max-len-0", "env-seed-abc", "input-not-utf8",
+        "mapping-not-utf8", "stopwords-not-utf8"])
 def test_config_error_exits_1_with_one_error_line(tmp_path, capsys, monkeypatch,
                                                   command, extra, env_seed):
     out = tmp_path / "out"
+    bad = tmp_path / "not-utf8"
+    if NOT_UTF8 in extra:
+        # a well-formed file of its kind, with one byte that is not UTF-8
+        good = tmp_path / "good"
+        {"--input": write_keyword_csv, "--mapping": write_mapping,
+         "--stopwords": lambda path: path.write_text("the\nand\n")}[extra[0]](good)
+        bad.write_bytes(good.read_bytes().replace(b"a", b"\xff", 1))
+        extra = [extra[0], str(bad)]
     if command == "train":
         argv = ["train", "--data", str(prepare_dir(tmp_path, capsys)),
                 "--arch", "srnn", "--epochs", "1", "--out", str(out)]
@@ -250,24 +265,31 @@ def test_config_error_exits_1_with_one_error_line(tmp_path, capsys, monkeypatch,
     assert stdout == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1, err
     assert not out.exists()
+    if bad.exists():
+        assert f"{bad}:" in err and "not UTF-8" in err, err
 
 
-@pytest.mark.parametrize("row", ["Civil,engine fire on climb", "Military"],
-                         ids=["unknown-label", "one-field"])
+@pytest.mark.parametrize("row", [b"Civil,engine fire on climb", b"Military",
+                                 b"Military,engine \xff fire"],
+                         ids=["unknown-label", "one-field", "not-utf8"])
 def test_bad_split_row_exits_1_with_one_error_line(tmp_path, capsys, row):
     prepared = prepare_dir(tmp_path, capsys)
+    run_dir, _ = train_dir(tmp_path, capsys, prepared, epochs="1")
     train_csv = prepared / "train.csv"
-    lines = train_csv.read_text(encoding="utf-8").splitlines()
+    lines = train_csv.read_bytes().splitlines()
     lines[2] = row
-    train_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    out = tmp_path / "run"
-    code, stdout, err = run(["train", "--data", str(prepared), "--arch", "srnn",
-                             "--epochs", "1", "--out", str(out)], capsys)
-    assert code == 1
-    assert stdout == ""
-    assert err.startswith("error:") and len(err.splitlines()) == 1, err
-    assert f"{train_csv}:3:" in err
-    assert not out.exists()
+    train_csv.write_bytes(b"\n".join(lines) + b"\n")
+    for out, argv in (
+            (tmp_path / "retrain", ["train", "--data", str(prepared), "--arch", "srnn",
+                                    "--epochs", "1"]),
+            (tmp_path / "eval", ["evaluate", "--checkpoint", str(run_dir / "checkpoint.atxc"),
+                                 "--data", str(prepared), "--split", "train"])):
+        code, stdout, err = run(argv + ["--out", str(out)], capsys)
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1, err
+        assert f"{train_csv}:3:" in err
+        assert not out.exists()
 
 
 def _repeat_id(text):
@@ -296,12 +318,18 @@ def _drop_key(*path):
     ("manifest.json", _drop_key("config", "truncate")),
     ("manifest.json", lambda text: text.replace('"truncate":"head"', '"truncate":"middle"')),
     ("manifest.json", lambda text: text.replace('"max_len":', '"max_len":"x","_":')),
+    ("manifest.json", lambda text: b"[" * 100_000),
+    ("vocab.tsv", lambda text: b"\xff" + text.encode("utf-8")),
+    ("stopwords.txt", lambda text: b"\xff" + text.encode("utf-8")),
 ], ids=["repeated-id", "non-integer-id", "invalid-json", "no-config", "no-max-len",
-        "no-truncate", "bad-truncate", "string-max-len"])
+        "no-truncate", "bad-truncate", "string-max-len", "deep-nesting", "vocab-not-utf8",
+        "stopwords-not-utf8"])
 def test_bad_prepared_file_exits_1_with_one_error_line(tmp_path, capsys, name, edit):
+    # an edit returns the new text, or the raw bytes of the file
     prepared = prepare_dir(tmp_path, capsys)
     path = prepared / name
-    path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+    edited = edit(path.read_text(encoding="utf-8"))
+    path.write_bytes(edited if isinstance(edited, bytes) else edited.encode("utf-8"))
     out = tmp_path / "run"
     code, stdout, err = run(["train", "--data", str(prepared), "--arch", "srnn",
                              "--epochs", "1", "--out", str(out)], capsys)

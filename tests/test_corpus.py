@@ -93,6 +93,9 @@ class TestIngest:
     def test_byte_stream_input(self):
         raw = io.BytesIO("Operator,Summary\nA,utf8 café\n".encode("utf-8"))
         assert ingest_records(raw)[0].summary == "utf8 café"
+        with pytest.raises(MalformedCsv) as exc:
+            ingest_records(io.BytesIO(b"Operator,Summary\nA,caf\xe9\n"))
+        assert "not UTF-8" in str(exc.value)
 
     def test_fixture_file(self, fixture_csv):
         records = ingest_records(fixture_csv)

@@ -43,19 +43,20 @@ def srnn_params(w, b):
 
 
 def lstm_params(w, b, prefix="lstm"):
-    """Every gate row set to w and every bias to b."""
-    return {**{f"{prefix}.w_{g}": np.array(w, dtype=np.float64) for g in "fiog"},
-            **{f"{prefix}.b_{g}": np.array(b, dtype=np.float64) for g in "fiog"}}
+    """A fused cell whose every gate block is w and every gate bias b."""
+    return {f"{prefix}.w": np.tile(np.array(w, dtype=np.float64), (4, 1)),
+            f"{prefix}.b": np.tile(np.array(b, dtype=np.float64), 4)}
 
 
 def random_lstm_params(rng, h, d, prefix="lstm"):
-    return {**{f"{prefix}.w_{g}": rng.uniform(-1, 1, (h, h + d)) for g in "fiog"},
-            **{f"{prefix}.b_{g}": rng.uniform(-1, 1, h) for g in "fiog"}}
+    return {f"{prefix}.w": rng.uniform(-1, 1, (4 * h, h + d)),
+            f"{prefix}.b": rng.uniform(-1, 1, 4 * h)}
 
 
 def lstm_as_arrays(p, prefix="lstm"):
-    return {name[len(prefix) + 1:]: array for name, array in p.items()
-            if name.startswith(prefix + ".")}
+    """The per-gate arrays of a fused cell, as the oracle takes them."""
+    return {f"{kind}_{g}": block for kind in "wb"
+            for g, block in zip("fiog", np.split(p[f"{prefix}.{kind}"], 4))}
 
 
 def run(seq, length, params, prefix):
@@ -113,8 +114,8 @@ class TestLstmStep:
         # g = tanh(b_g), so each step halves the cell state before adding g/2
         h, d, steps = 3, 2, 4
         p = lstm_params(np.zeros((h, h + d)), np.zeros(h))
-        p["lstm.b_g"] = np.array([0.4, -1.0, 2.0])
-        g = np.tanh(p["lstm.b_g"])
+        p["lstm.b"][3 * h:] = [0.4, -1.0, 2.0]
+        g = np.tanh(p["lstm.b"][3 * h:])
         c = np.zeros(h)
         for _ in range(steps):
             c = 0.5 * c + 0.5 * g
@@ -364,10 +365,11 @@ class TestInit:
             np.testing.assert_array_equal(a[name], b[name])
 
     def test_biases_zero_except_forget(self):
-        params = init_params(mini_config("lstm"), seed=0)
-        np.testing.assert_array_equal(params["lstm.b_f"], np.ones(4))
+        config = mini_config("lstm")
+        tensors = models.checkpoint_views(config, init_params(config, seed=0))
+        np.testing.assert_array_equal(tensors["lstm.b_f"], np.ones(4))
         for name in ("lstm.b_i", "lstm.b_o", "lstm.b_g", "head.b1", "head.b2"):
-            np.testing.assert_array_equal(params[name], np.zeros_like(params[name]))
+            np.testing.assert_array_equal(tensors[name], np.zeros_like(tensors[name]))
 
     @pytest.mark.parametrize("arch", models.ARCHITECTURES)
     def test_glorot_bounds(self, arch):
@@ -403,6 +405,49 @@ class TestInit:
             assert all(ref() is None for ref in refs)
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("arch", ["lstm", "blstm"])
+    def test_fused_cells_start_at_the_per_gate_init(self, arch):
+        # the per-gate initialization that checkpoints name: one Glorot draw
+        # per gate matrix in table order, the forget bias at +1
+        config = ModelConfig(arch=arch, vocab_size=7, embedding_dim=3, hidden_units=4,
+                             head_units=5)
+        h, d, u, feat = 4, 3, 5, config.feature_size
+        rng = np.random.default_rng(6)
+
+        def glorot(shape, fan_in, fan_out):
+            bound = math.sqrt(6.0 / (fan_in + fan_out))
+            return rng.uniform(-bound, bound, shape)
+
+        want = {"embedding.table": rng.uniform(-0.05, 0.05, (9, d))}
+        want["embedding.table"][0] = 0.0
+        for prefix in ("lstm",) if arch == "lstm" else ("blstm.fwd", "blstm.bwd"):
+            want |= {f"{prefix}.w_{g}": glorot((h, h + d), h + d, h) for g in "fiog"}
+            want |= {f"{prefix}.b_{g}": np.full(h, float(g == "f")) for g in "fiog"}
+        want |= {"head.w1": glorot((u, feat), feat, u), "head.b1": np.zeros(u),
+                 "head.w2": glorot((3, u), u, 3), "head.b2": np.zeros(3)}
+        got = models.checkpoint_views(config, init_params(config, seed=6))
+        assert list(got) == list(want)
+        for name, array in want.items():
+            assert got[name].tobytes() == array.tobytes(), name
+
+    @pytest.mark.parametrize("arch", models.ARCHITECTURES)
+    def test_checkpoint_views_round_trip_without_a_copy(self, arch):
+        config = mini_config(arch)
+        rng = np.random.default_rng(12)
+        tensors = {name: rng.uniform(-1, 1, shape)
+                   for name, shape in models.expected_parameter_shapes(config).items()}
+        params = models.fuse_checkpoint(config, tensors)
+        views = models.checkpoint_views(config, params)
+        assert list(views) == list(tensors)
+        for spec in models.parameter_table(config):
+            for name in spec.stored:
+                assert views[name].tobytes() == tensors[name].tobytes(), name
+                assert np.shares_memory(views[name], params[spec.name]), name
+        again = models.fuse_checkpoint(config, views)
+        assert list(again) == list(params)
+        for name, array in params.items():
+            assert again[name].tobytes() == array.tobytes(), name
 
     def test_padding_row_starts_at_zero(self):
         params = init_params(mini_config("cnn"), seed=2)
@@ -486,8 +531,9 @@ class TestScore:
     def test_rows_equal_the_per_record_reference(self, case):
         config, params, seqs = case
         probs = models.score(config, params, seqs)
+        tensors = models.checkpoint_views(config, params)
         for row, seq in zip(probs, seqs):
-            want = forward_probs_per_record(config.arch, params, seq.ids, seq.true_length)
+            want = forward_probs_per_record(config.arch, tensors, seq.ids, seq.true_length)
             assert np.array_equal(row, want)
 
     @pytest.mark.parametrize("arch", models.ARCHITECTURES)
@@ -500,8 +546,9 @@ class TestScore:
         seqs = [TokenSequence(rng.integers(0, 42, 24).tolist(), int(rng.integers(0, 25)))
                 for _ in range(models.SCORE_CHUNK + 6)]
         probs = models.score(config, params, seqs)
+        tensors = models.checkpoint_views(config, params)
         for row, seq in zip(probs, seqs):
-            want = forward_probs_per_record(arch, params, seq.ids, seq.true_length)
+            want = forward_probs_per_record(arch, tensors, seq.ids, seq.true_length)
             assert np.array_equal(row, want)
 
     def test_no_records_give_no_rows(self):

@@ -235,7 +235,7 @@ class TestTrainLoop:
 class TestCheckpointIo:
     def make_checkpoint(self, arch="lstm"):
         config = tiny_config(arch)
-        tensors = models.init_params(config, seed=9)
+        tensors = models.checkpoint_views(config, models.init_params(config, seed=9))
         vocab = fit_vocabulary(["engine fire", "pilot error wind"], max_size=8)
         return ModelCheckpoint(config, vocab, frozenset({"the", "and"}), "head",
                                tensors, epoch=4)
@@ -351,7 +351,8 @@ class TestCheckpointIo:
         loaded = load_checkpoint(path)
         assert sorted(loaded.tensors) == sorted(ckpt.tensors)
         seq = TokenSequence([2, 3, 4, 0, 0, 0, 0, 0], 3)
-        probs = models.forward_probs(loaded.config, loaded.tensors, seq)
+        probs = models.forward_probs(loaded.config,
+                                     models.fuse_checkpoint(loaded.config, loaded.tensors), seq)
         assert probs.shape == (3,)
         assert abs(probs.sum() - 1.0) < 1e-12
         np.testing.assert_array_equal(
