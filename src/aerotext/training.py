@@ -106,12 +106,18 @@ class Adam:
         correct2 = 1.0 - self.BETA2 ** self.t
         for name, p in self.params.items():
             g, m, v = grads[name], self.m[name], self.v[name]
-            # in place, with the operation order of beta * m + (1 - beta) * g
+            # In place, with the operation order of beta * m + (1 - beta) * g and
+            # lr * (m / correct1) / (sqrt(v / correct2) + eps), into two scratch
+            # arrays: a temporary per operation on the embedding table's size left
+            # the process's peak RSS varying by 8 MiB from one run to the next.
+            t, u = np.empty_like(p), np.empty_like(p)
             m *= self.BETA1
-            m += (1.0 - self.BETA1) * g
+            m += np.multiply(1.0 - self.BETA1, g, out=t)
             v *= self.BETA2
-            v += (1.0 - self.BETA2) * g * g
-            p -= self.lr * (m / correct1) / (np.sqrt(v / correct2) + self.EPS)
+            v += np.multiply(np.multiply(1.0 - self.BETA2, g, out=t), g, out=t)
+            np.multiply(self.lr, np.divide(m, correct1, out=t), out=t)
+            np.add(np.sqrt(np.divide(v, correct2, out=u), out=u), self.EPS, out=u)
+            p -= np.divide(t, u, out=t)
 
 
 # --- checkpoints ----------------------------------------------------------------
