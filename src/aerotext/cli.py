@@ -10,6 +10,7 @@ resolved configuration, and the artifacts, so reruns are reproducible.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import csv
 import hashlib
 import io
@@ -92,6 +93,33 @@ def _write_manifest(out_dir: Path, command: str, seed: int | None,
     if extra:
         manifest.update(extra)
     (out_dir / "manifest.json").write_text(jsonio.dumps(manifest) + "\n", encoding="utf-8")
+
+
+def _blas() -> dict[str, str | int]:
+    """The BLAS behind numpy's matrix products: the library numpy names in
+    its build configuration, and the configuration string and thread count
+    that its bundled OpenBLAS reports; "unknown" for any it does not give.
+    Training reruns are byte-identical only at a fixed thread count."""
+    info: dict[str, str | int] = {"library": "unknown", "config": "unknown",
+                                  "threads": "unknown"}
+    try:
+        info["library"] = str(np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"])
+    except (TypeError, KeyError):
+        pass
+    try:
+        from numpy._core import _multiarray_umath
+        # a handle on numpy's extension also resolves the symbols of the
+        # libraries it links, the bundled OpenBLAS among them
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        get_config = lib.scipy_openblas_get_config64_
+        get_threads = lib.scipy_openblas_get_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return info
+    get_config.argtypes, get_config.restype = [], ctypes.c_char_p
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    info["config"] = (get_config() or b"unknown").decode("utf-8", "replace")
+    info["threads"] = get_threads()
+    return info
 
 
 def _write_split_csv(path: Path, records: list[LabeledRecord]) -> None:
@@ -251,7 +279,8 @@ def cmd_train(args) -> int:
                 "train": {"learning_rate": args.lr, "batch_size": args.batch_size,
                           "epochs": args.epochs, "optimizer": args.optimizer,
                           "select_best_by": args.select_best_by}},
-        outputs={"checkpoint": str(ckpt_path), "history": str(out_dir / "history.csv")})
+        outputs={"checkpoint": str(ckpt_path), "history": str(out_dir / "history.csv")},
+        extra={"blas": _blas()})
 
     checkpoint, history = train(model_config, train_config, split, vocab,
                                 stopwords=prepared["stopwords"],

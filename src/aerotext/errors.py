@@ -79,6 +79,10 @@ class NonfiniteLoss(AerotextError):
     pass
 
 
+class NonfiniteGradient(NonfiniteLoss):
+    """A batch gradient with a NaN or an infinity, found before its step."""
+
+
 class VersionUnsupported(AerotextError):
     pass
 

@@ -24,7 +24,11 @@ f, i, o, g order (Appleyard et al., arXiv:1604.01946); only the checkpoint
 keeps one tensor per gate (`checkpoint_views`, `fuse_checkpoint`). Each
 layer function returns its output and a closure, `back`, that maps the
 gradient of that output to the gradients of the layer's input and
-parameters. `loss_and_grads` chains the layers over a training batch.
+parameters. `loss_and_grads` chains the layers over a training batch. The
+embedding table's gradient is in row form, `(rows, values)`: the distinct
+ids the batch read and one gradient row each, every other row being zero.
+A batch reads a few hundred of the table's ~10k rows, so the backward never
+builds the dense table, and the optimizers step only the rows it names.
 There is one forward: `score` runs the same `encode_features` with
 train=False over any number of records and gives each record bit-for-bit
 the probabilities it gets when scored alone; `forward_probs` is `score` on
@@ -63,6 +67,7 @@ NUM_CLASSES = 3
 LSTM_GATES = "fiog"  # gate order of the fused LSTM rows and of their checkpoint names
 
 Params = dict[str, np.ndarray]
+RowGrad = tuple[np.ndarray, np.ndarray]  # (sorted distinct rows, their gradient rows)
 
 
 @dataclass
@@ -255,20 +260,24 @@ def _packing(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def embedding_lookup(ids, table: np.ndarray):
     """Gather the table rows of an integer id array -> ids.shape + (d,).
 
-    `back` scatters the row gradients into one table-shaped gradient,
-    so repeated ids accumulate on their shared row; the padding row is
-    gathered like any other (there is no masking here).
+    `back` returns the table gradient in row form, `(rows, values)`: the
+    sorted distinct ids and one summed gradient row for each; every other
+    row of the table has a zero gradient. Repeated ids accumulate on their
+    shared row in the order they occur, from +0, so `values` holds the bits
+    of the rows of a dense table gradient. The padding row is gathered like
+    any other (there is no masking here).
     """
     ids = np.asarray(ids, dtype=np.int64)
-    rows = table.shape[0]
-    if ids.size and (ids.min() < 0 or ids.max() >= rows):
+    n_rows = table.shape[0]
+    if ids.size and (ids.min() < 0 or ids.max() >= n_rows):
         bad = int(ids.min()) if ids.min() < 0 else int(ids.max())
-        raise IdOutOfRange(f"token id {bad} outside embedding table with {rows} rows")
+        raise IdOutOfRange(f"token id {bad} outside embedding table with {n_rows} rows")
 
     def back(d_rows):
-        grad = np.zeros_like(table)
-        np.add.at(grad, ids, d_rows)
-        return grad
+        rows, inverse = np.unique(ids.ravel(), return_inverse=True)
+        values = np.zeros((len(rows), table.shape[1]))
+        np.add.at(values, inverse, d_rows.reshape(len(inverse), table.shape[1]))
+        return rows, values
     return table[ids], back
 
 
@@ -467,8 +476,8 @@ def _true_lengths(seqs: Sequence[TokenSequence]) -> np.ndarray:
 def encode_features(config: ModelConfig, params: Mapping[str, np.ndarray],
                     seqs: Sequence[TokenSequence], train: bool = True):
     """A batch of TokenSequences -> (features (B, feature_size), back),
-    with back(d_features) -> {name: grad} for the embedding table and
-    the encoder.
+    with back(d_features) -> {name: grad} for the embedding table (in row
+    form, see `embedding_lookup`) and the encoder.
 
     Recurrent paths embed only the first true_length ids of each row; the
     CNN embeds the whole padded sequence. `train` is passed on to the
@@ -507,9 +516,11 @@ def encode_features(config: ModelConfig, params: Mapping[str, np.ndarray],
 
 def loss_and_grads(config: ModelConfig, params: Mapping[str, np.ndarray],
                    seqs: Sequence[TokenSequence], labels: Sequence[int],
-                   masks: np.ndarray | None = None) -> tuple[float, Params]:
+                   masks: np.ndarray | None = None
+                   ) -> tuple[float, dict[str, np.ndarray | RowGrad]]:
     """Mean cross-entropy of a batch and its gradient for every parameter,
-    keyed and ordered like `params`. `masks` holds one dropout mask row per
+    keyed and ordered like `params`; the embedding table's gradient is in
+    row form, `(rows, values)`. `masks` holds one dropout mask row per
     record, or None for no dropout. The loss gradient is the exact
     (p - onehot) / B; it does not pass through the cross-entropy clamp."""
     features, encoder_back = encode_features(config, params, seqs)

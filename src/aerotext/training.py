@@ -25,6 +25,7 @@ from .errors import (
     CorruptCheckpoint,
     EmptySplit,
     InvalidConfig,
+    NonfiniteGradient,
     NonfiniteLoss,
     ShapeMismatch,
     VersionUnsupported,
@@ -81,15 +82,29 @@ class Sgd:
         self.params = params
         self.lr = lr
 
-    def step(self, grads: Mapping[str, np.ndarray]) -> None:
+    def step(self, grads: Mapping[str, np.ndarray | models.RowGrad]) -> None:
         for name, p in self.params.items():
-            p -= self.lr * grads[name]
+            g = grads[name]
+            if isinstance(g, tuple):
+                rows, values = g
+                p[rows] -= self.lr * values
+            else:
+                p -= self.lr * g
 
 
 class Adam:
     """Bias-corrected Adam: the t=1 update is lr * g / (|g| + eps). Dense:
     every entry moves on every step, including embedding rows a batch does
-    not read, whose moments still carry momentum."""
+    not read, whose moments still carry momentum.
+
+    A table whose gradient comes in row form (`models.RowGrad`) is stepped
+    only on the rows some batch has read (`touched`). Every other row still
+    has m = v = +0 and a zero gradient, so the dense update would subtract
+    exactly +0 from it: skipping it changes no bit. While the touched rows
+    are fewer than half the table, they are gathered, updated and scattered
+    back; from half on, the whole table steps in place, with its gradient
+    written into a zero buffer kept for the purpose and cleared after.
+    """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
@@ -99,25 +114,56 @@ class Adam:
         self.t = 0
         self.m = {name: np.zeros_like(p) for name, p in params.items()}
         self.v = {name: np.zeros_like(p) for name, p in params.items()}
+        self.touched: dict[str, np.ndarray] = {}
+        self.dense_grad: dict[str, np.ndarray] = {}
 
-    def step(self, grads: Mapping[str, np.ndarray]) -> None:
+    def step(self, grads: Mapping[str, np.ndarray | models.RowGrad]) -> None:
         self.t += 1
         correct1 = 1.0 - self.BETA1 ** self.t
         correct2 = 1.0 - self.BETA2 ** self.t
         for name, p in self.params.items():
             g, m, v = grads[name], self.m[name], self.v[name]
-            # In place, with the operation order of beta * m + (1 - beta) * g and
-            # lr * (m / correct1) / (sqrt(v / correct2) + eps), into two scratch
-            # arrays: a temporary per operation on the embedding table's size left
-            # the process's peak RSS varying by 8 MiB from one run to the next.
-            t, u = np.empty_like(p), np.empty_like(p)
-            m *= self.BETA1
-            m += np.multiply(1.0 - self.BETA1, g, out=t)
-            v *= self.BETA2
-            v += np.multiply(np.multiply(1.0 - self.BETA2, g, out=t), g, out=t)
-            np.multiply(self.lr, np.divide(m, correct1, out=t), out=t)
-            np.add(np.sqrt(np.divide(v, correct2, out=u), out=u), self.EPS, out=u)
-            p -= np.divide(t, u, out=t)
+            if not isinstance(g, tuple):
+                self._update(p, m, v, g, correct1, correct2)
+                continue
+            rows, values = g
+            touched = self.touched.setdefault(name, np.zeros(len(p), dtype=bool))
+            touched[rows] = True
+            if 2 * np.count_nonzero(touched) < len(p):
+                active = np.flatnonzero(touched)
+                dense = np.zeros((len(active), *p.shape[1:]))
+                dense[np.searchsorted(active, rows)] = values
+                p_a, m_a, v_a = p[active], m[active], v[active]
+                self._update(p_a, m_a, v_a, dense, correct1, correct2)
+                p[active], m[active], v[active] = p_a, m_a, v_a
+            else:
+                dense = self.dense_grad.setdefault(name, np.zeros_like(p))
+                dense[rows] = values
+                self._update(p, m, v, dense, correct1, correct2)
+                dense[rows] = 0.0
+
+    def _update(self, p, m, v, g, correct1, correct2) -> None:
+        # In place, with the operation order of beta * m + (1 - beta) * g and
+        # lr * (m / correct1) / (sqrt(v / correct2) + eps), into two scratch
+        # arrays: a temporary per operation on the embedding table's size left
+        # the process's peak RSS varying by 8 MiB from one run to the next.
+        t, u = np.empty_like(p), np.empty_like(p)
+        m *= self.BETA1
+        m += np.multiply(1.0 - self.BETA1, g, out=t)
+        v *= self.BETA2
+        v += np.multiply(np.multiply(1.0 - self.BETA2, g, out=t), g, out=t)
+        np.multiply(self.lr, np.divide(m, correct1, out=t), out=t)
+        np.add(np.sqrt(np.divide(v, correct2, out=u), out=u), self.EPS, out=u)
+        p -= np.divide(t, u, out=t)
+
+
+def _first_nonfinite(grads: Mapping[str, np.ndarray | models.RowGrad]) -> str | None:
+    """The name of the first gradient, in table order, holding a NaN or an
+    infinity, else None."""
+    for name, g in grads.items():
+        if not np.isfinite(g[1] if isinstance(g, tuple) else g).all():
+            return name
+    return None
 
 
 # --- checkpoints ----------------------------------------------------------------
@@ -281,6 +327,10 @@ def train(model_config: ModelConfig, train_config: TrainConfig, split: SplitData
                 [train_labels[i] for i in chosen], _dropout_masks(model_config, rng, len(chosen)))
             if not math.isfinite(loss):
                 raise NonfiniteLoss(f"loss is {loss} at epoch {epoch}, batch {start // batch}")
+            bad = _first_nonfinite(grads)
+            if bad is not None:
+                raise NonfiniteGradient(f"gradient of {bad} is non-finite at epoch {epoch}, "
+                                        f"batch {start // batch}")
             optimizer.step(grads)
 
         train_loss, train_acc = _dataset_metrics(model_config, params, train_seqs, train_labels)
@@ -322,11 +372,3 @@ def history_to_csv(history: Sequence[EpochRecord]) -> str:
                      f"{r.validation_loss!r},{r.validation_accuracy!r}")
     return "\n".join(lines) + "\n"
 
-
-def history_from_csv(text: str) -> list[EpochRecord]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    records = []
-    for line in lines[1:]:
-        epoch, tl, ta, vl, va = line.split(",")
-        records.append(EpochRecord(int(epoch), float(tl), float(ta), float(vl), float(va)))
-    return records

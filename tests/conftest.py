@@ -10,6 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from aerotext import models
 from aerotext.corpus import LabeledRecord, OperatorClass, SplitDataset
+from aerotext.training import EpochRecord
 
 
 FIXTURE_CSV = """\
@@ -38,6 +39,29 @@ def random_params(config, rng):
     fall below the reach of central differences."""
     return {spec.name: rng.uniform(-1.0, 1.0, spec.shape)
             for spec in models.parameter_table(config)}
+
+
+def dense_grads(grads, params):
+    """`loss_and_grads` gradients with a row-form gradient `(rows, values)`
+    written out as the dense array it stands for: zero outside `rows`."""
+    out = {}
+    for name, grad in grads.items():
+        if isinstance(grad, tuple):
+            rows, values = grad
+            grad = np.zeros(params[name].shape)
+            grad[rows] = values
+        out[name] = grad
+    return out
+
+
+def history_from_csv(text: str) -> list[EpochRecord]:
+    """The records of a `history.csv` text, the inverse of
+    `training.history_to_csv`."""
+    records = []
+    for line in [ln for ln in text.splitlines() if ln.strip()][1:]:
+        epoch, tl, ta, vl, va = line.split(",")
+        records.append(EpochRecord(int(epoch), float(tl), float(ta), float(vl), float(va)))
+    return records
 
 
 def head_params(w1, b1, w2, b2):

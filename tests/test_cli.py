@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import aerotext
-from aerotext import jsonio, metrics
+from aerotext import cli, jsonio, metrics, models
 from aerotext.cli import main
 from aerotext.errors import NonfiniteValue
 from aerotext.training import TrainConfig
@@ -211,6 +211,54 @@ class TestTrain:
         assert len(result.stderr.splitlines()) == 1, result.stderr
         assert result.stderr.startswith("error:")
         assert not (out / "checkpoint.atxc").exists()
+
+    def test_nonfinite_gradient_exits_1_without_checkpoint(self, tmp_path, capsys,
+                                                           monkeypatch):
+        prepared = prepare_dir(tmp_path, capsys)
+        real = models.loss_and_grads
+
+        def poisoned(*args):
+            loss, grads = real(*args)
+            grads["head.b2"][0] = np.nan
+            return loss, grads
+
+        monkeypatch.setattr(models, "loss_and_grads", poisoned)
+        out = tmp_path / "run"
+        code, stdout, err = run(["train", "--data", str(prepared), "--arch", "cnn",
+                                 "--out", str(out)], capsys)
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1, err
+        assert "head.b2" in err and "epoch 1, batch 0" in err
+        assert sorted(path.name for path in out.iterdir()) == ["manifest.json"]
+
+    def test_one_blas_thread_reruns_are_identical_and_recorded(self, tmp_path, capsys):
+        # separate processes: the thread count is read when OpenBLAS loads
+        prepared = prepare_dir(tmp_path, capsys)
+        src = Path(aerotext.__file__).resolve().parents[1]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        out = tmp_path / "run"
+        runs = []
+        for _ in range(2):
+            subprocess.run([sys.executable, "-m", "aerotext.cli", "train", "--data",
+                            str(prepared), "--arch", "lstm", "--epochs", "2", "--out", str(out)],
+                           check=True, capture_output=True, env=env)
+            runs.append({name: (out / name).read_bytes()
+                         for name in ("checkpoint.atxc", "history.csv", "manifest.json")})
+        assert runs[0] == runs[1]
+        blas = json.loads(runs[0]["manifest.json"])["blas"]
+        assert set(blas) == {"library", "config", "threads"}
+        assert blas["threads"] == 1
+        assert "OpenBLAS" in blas["config"]
+
+    def test_blas_without_openblas_symbols_is_unknown(self, monkeypatch):
+        def no_library(path):
+            raise OSError(f"cannot open {path}")
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", no_library)
+        blas = cli._blas()
+        assert blas["config"] == blas["threads"] == "unknown"
 
     def test_nan_rate_past_the_config_check_is_refused_by_the_manifest(self, tmp_path, capsys,
                                                                        monkeypatch):

@@ -19,7 +19,7 @@ from aerotext.models import ModelConfig
 from aerotext.textprep import fit_vocabulary
 from aerotext.training import EpochRecord, ModelCheckpoint
 
-from conftest import synthetic_corpus
+from conftest import history_from_csv, synthetic_corpus
 from oracles import report_from_lists
 
 C, M, P = OperatorClass.COMMERCIAL, OperatorClass.MILITARY, OperatorClass.PRIVATE
@@ -229,7 +229,7 @@ class TestExports:
 
         history_lines = paths["history"].read_text(encoding="utf-8").splitlines()
         assert len(history_lines) == len(history) + 1
-        restored = training.history_from_csv("\n".join(history_lines))
+        restored = history_from_csv("\n".join(history_lines))
         assert restored == list(history)
 
         per_class = paths["per_class"].read_text(encoding="utf-8").splitlines()

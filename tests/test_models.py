@@ -23,7 +23,7 @@ from aerotext.models import (
 )
 from aerotext.textprep import TokenSequence
 
-from conftest import head_params, random_params
+from conftest import dense_grads, head_params, random_params
 from oracles import forward_probs_per_record, lstm_unroll, srnn_unroll
 
 
@@ -76,10 +76,11 @@ class TestEmbedding:
         np.testing.assert_array_equal(out, [[6, 7, 8], [0, 1, 2]])
 
     def test_repeated_id_accumulates_gradient(self):
+        # row form: only row 3 is read, so it is the only row named
         _, backward = embedding_lookup([3, 3], np.ones((4, 2)))
-        grad = backward(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        np.testing.assert_array_equal(grad[3], [4.0, 6.0])
-        np.testing.assert_array_equal(grad[:3], np.zeros((3, 2)))
+        rows, values = backward(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        np.testing.assert_array_equal(rows, [3])
+        np.testing.assert_array_equal(values, [[4.0, 6.0]])
 
     def test_id_out_of_range(self):
         table = np.zeros((4, 2))
@@ -308,8 +309,10 @@ class TestLossAndGrads:
         labels = [0, 1, 2, 2, 1, 0, 1]
         masks = (rng.random((len(seqs), config.head_units)) < 0.7) / 0.7
         loss, grads = models.loss_and_grads(config, params, seqs, labels, masks)
+        grads = dense_grads(grads, params)
         singles = [models.loss_and_grads(config, params, [s], [y], m[None])
                    for s, y, m in zip(seqs, labels, masks)]
+        singles = [(value, dense_grads(named, params)) for value, named in singles]
         assert list(grads) == list(params)
         assert loss == pytest.approx(np.mean([s[0] for s in singles]), rel=1e-12, abs=0)
         for name, grad in grads.items():
@@ -400,7 +403,9 @@ class TestInit:
             params = init_params(config, seed=0)
             _, grads = models.loss_and_grads(config, params,
                                              [TokenSequence([2, 3, 4, 0, 0, 0], 3)], [1])
-            refs = [weakref.ref(array) for d in (params, grads) for array in d.values()]
+            # the embedding gradient is a (rows, values) pair of arrays
+            refs = [weakref.ref(array) for d in (params, grads) for value in d.values()
+                    for array in (value if isinstance(value, tuple) else (value,))]
             del params, grads
             assert all(ref() is None for ref in refs)
         finally:

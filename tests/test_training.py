@@ -12,12 +12,13 @@ from aerotext.errors import (
     CorruptCheckpoint,
     EmptySplit,
     InvalidConfig,
+    NonfiniteGradient,
     NonfiniteLoss,
     ShapeMismatch,
     VersionUnsupported,
 )
 from aerotext.models import ModelConfig
-from aerotext.textprep import TokenSequence, fit_vocabulary
+from aerotext.textprep import TokenSequence, encode_sequence, fit_vocabulary
 from aerotext.training import (
     Adam,
     EpochRecord,
@@ -32,6 +33,7 @@ from aerotext.training import (
 from conftest import (
     METADATA_FAULTS,
     edit_checkpoint_metadata,
+    history_from_csv,
     random_params,
     synthetic_corpus,
 )
@@ -100,6 +102,102 @@ class TestOptimizers:
             v = 0.999 * v + 0.001 * g * g
             theta -= 0.01 * (m / (1 - 0.9 ** t)) / (math.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
             assert float(params["p"]) == pytest.approx(theta, abs=1e-15)
+
+
+def dense_adam_step(p, m, v, g, t, lr):
+    """The dense Adam step every row took before row-form gradients, with
+    its operation order."""
+    m *= Adam.BETA1
+    m += (1.0 - Adam.BETA1) * g
+    v *= Adam.BETA2
+    v += (1.0 - Adam.BETA2) * g * g
+    p -= lr * (m / (1.0 - Adam.BETA1 ** t)) / (np.sqrt(v / (1.0 - Adam.BETA2 ** t)) + Adam.EPS)
+
+
+def row_batches(n_rows, steps, rng):
+    """(ids, d_rows, share) for each step: the share of the table's rows read
+    so far climbs from under 5% to 100% by step steps - 8 and stays there.
+    Each batch reads its new rows, earlier ones, one id twice and one id
+    twice with opposite gradient rows, which sum to exactly 0."""
+    order = rng.permutation(n_rows)
+    reached = 0
+    for k in range(1, steps + 1):
+        new = order[reached:max(3, n_rows * k // (steps - 8))]
+        reached += len(new)
+        old = order[rng.integers(0, reached, 3)]
+        zero_sum = order[rng.integers(0, reached)]
+        ids = np.concatenate([new, old, old[:1], [zero_sum, zero_sum]])
+        d_rows = rng.uniform(-1.0, 1.0, (len(ids), 3))
+        d_rows[-1] = -d_rows[-2]
+        yield ids, d_rows, reached / n_rows
+
+
+class TestRowFormSteps:
+    """The optimizers step an embedding table from its row-form gradient
+    exactly as they stepped it from the dense gradient."""
+
+    N_ROWS, STEPS = 120, 48
+
+    def run(self, optimizer, params, reference_step):
+        """Step `params` (a table and a dense tensor) for STEPS steps with
+        `optimizer` and a copy with `reference_step`; the parameters, and an
+        Adam's moments, must agree after every step. Returns the share of the
+        table read by each step."""
+        rng = np.random.default_rng(12)
+        want = {name: p.copy() for name, p in params.items()}
+        moments = {name: (np.zeros_like(p), np.zeros_like(p)) for name, p in want.items()}
+        shares = []
+        for t, (ids, d_rows, share) in enumerate(row_batches(self.N_ROWS, self.STEPS, rng),
+                                                 start=1):
+            _, back = models.embedding_lookup(ids, params["embedding.table"])
+            dense = np.zeros_like(want["embedding.table"])
+            np.add.at(dense, ids, d_rows)   # the dense gradient of the earlier backward
+            head_grad = rng.uniform(-1.0, 1.0, want["head.w"].shape)
+            optimizer.step({"embedding.table": back(d_rows), "head.w": head_grad})
+            for name, g in (("embedding.table", dense), ("head.w", head_grad)):
+                m, v = moments[name]
+                reference_step(want[name], m, v, g, t)
+                np.testing.assert_array_equal(params[name], want[name], err_msg=f"{name} {t}")
+                if isinstance(optimizer, Adam):
+                    np.testing.assert_array_equal(optimizer.m[name], m, err_msg=f"m {name} {t}")
+                    np.testing.assert_array_equal(optimizer.v[name], v, err_msg=f"v {name} {t}")
+            shares.append(share)
+        return shares
+
+    def params(self):
+        rng = np.random.default_rng(5)
+        table = rng.uniform(-0.05, 0.05, (self.N_ROWS, 3))
+        table[0] = 0.0
+        return {"embedding.table": table, "head.w": rng.uniform(-1.0, 1.0, (4, 3))}
+
+    def test_adam_matches_the_dense_step_in_both_regimes(self):
+        params = self.params()
+        adam = Adam(params, 1e-2)
+        shares = self.run(adam, params,
+                          lambda p, m, v, g, t: dense_adam_step(p, m, v, g, t, 1e-2))
+        # both regimes, several steps each, and the switch between them
+        assert shares[0] < 0.05 and shares[-1] == 1.0
+        assert sum(share < 0.5 for share in shares) >= 10
+        assert sum(share >= 0.5 for share in shares) >= 10
+        assert adam.touched["embedding.table"].all()
+
+    def test_sgd_matches_the_dense_step(self):
+        params = self.params()
+
+        def sgd_step(p, m, v, g, t):
+            p -= 0.05 * g
+        self.run(Sgd(params, 0.05), params, sgd_step)
+
+    def test_zero_sum_row_is_stepped_like_a_zero_row(self):
+        # a row read twice with opposite gradients has gradient +0 and zero
+        # moments, so the step leaves it as it is
+        table = np.array([[0.5, -0.25], [1.0, 2.0], [0.0, 3.0]])
+        params = {"embedding.table": table.copy()}
+        _, back = models.embedding_lookup([1, 1], table)
+        rows, values = back(np.array([[0.3, -0.7], [-0.3, 0.7]]))
+        np.testing.assert_array_equal(values, [[0.0, 0.0]])
+        Adam(params, 0.1).step({"embedding.table": (rows, values)})
+        assert params["embedding.table"].tobytes() == table.tobytes()
 
 
 class TestLossGradient:
@@ -201,6 +299,48 @@ class TestTrainLoop:
         with pytest.raises(NonfiniteLoss) as exc:
             train(model_config, train_config, split, vocab)
         assert "epoch 1" in str(exc.value) and "batch" in str(exc.value)
+
+    @pytest.mark.parametrize("poison, named", [(("embedding.table",), "embedding.table"),
+                                               (("head.b2", "lstm.b"), "lstm.b")])
+    def test_nonfinite_gradient_stops_before_its_step(self, monkeypatch, poison, named):
+        # three batches of four: batch 2 is the third call, and the error
+        # names the first poisoned tensor in table order
+        model_config, train_config, split, vocab = self.make_inputs(arch="lstm", epochs=1)
+        real = models.loss_and_grads
+        calls = []
+
+        def poisoned(config, params, *args):
+            loss, grads = real(config, params, *args)
+            calls.append((params, {name: p.copy() for name, p in params.items()}))
+            if len(calls) == 3:
+                for name in poison:
+                    grad = grads[name]
+                    (grad[1] if isinstance(grad, tuple) else grad).flat[0] = np.inf
+            return loss, grads
+
+        monkeypatch.setattr(models, "loss_and_grads", poisoned)
+        with pytest.raises(NonfiniteGradient) as exc:
+            train(model_config, train_config, split, vocab)
+        assert len(calls) == 3
+        assert f"gradient of {named} " in str(exc.value)
+        assert "epoch 1, batch 2" in str(exc.value)
+        live, after_batch_1 = calls[-1]
+        for name, p in live.items():
+            np.testing.assert_array_equal(p, after_batch_1[name], err_msg=name)
+
+    def test_rows_no_record_reads_keep_their_initial_bytes(self):
+        model_config, train_config, split, vocab = self.make_inputs(arch="lstm")
+        ckpt, _ = train(model_config, train_config, split, vocab)
+        initial = models.init_params(model_config, train_config.seed)["embedding.table"]
+        read = set()
+        for record in split.train:
+            seq = encode_sequence(record.summary, vocab, model_config.max_len, "head")
+            read.update(seq.ids[:seq.true_length])
+        unread = sorted(set(range(len(initial))) - read)
+        assert 0 in unread
+        table = ckpt.tensors["embedding.table"]
+        assert table[unread].tobytes() == initial[unread].tobytes()
+        assert np.all(table[sorted(read)] != initial[sorted(read)])
 
     def test_test_part_is_never_read(self):
         class PoisonList(list):
@@ -365,4 +505,4 @@ class TestHistoryCsv:
                    EpochRecord(2, 0.5, 0.75, 0.6, 2 / 3)]
         text = training.history_to_csv(history)
         assert text.splitlines()[0] == "epoch,train_loss,train_acc,val_loss,val_acc"
-        assert training.history_from_csv(text) == history
+        assert history_from_csv(text) == history
