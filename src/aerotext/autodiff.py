@@ -36,22 +36,14 @@ def gradient_check(loss_and_grads: Callable[[], tuple[float, Mapping[str, np.nda
     """Max relative error between analytic gradients and central differences.
 
     `loss_and_grads` must be a deterministic closure over the arrays in
-    `params` returning (loss, {name: gradient}), a gradient in row form
-    `(rows, values)` being zero outside `rows`; each coordinate is nudged
+    `params` returning (loss, {name: gradient}); each coordinate is nudged
     in place and restored. Relative error per coordinate is
     |a - n| / max(|a|, |n|, 1e-12).
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     _, grads = loss_and_grads()
-    analytic = {}
-    for name, p in params.items():
-        grad = grads[name]
-        if isinstance(grad, tuple):
-            rows, values = grad
-            grad = np.zeros(p.shape)
-            grad[rows] = values
-        analytic[name] = np.array(grad, dtype=np.float64)
+    analytic = {name: np.array(grads[name], dtype=np.float64) for name in params}
     worst = 0.0
     for name, p in params.items():
         for index in np.ndindex(p.shape):

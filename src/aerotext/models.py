@@ -28,7 +28,7 @@ parameters. `loss_and_grads` chains the layers over a training batch. The
 embedding table's gradient is in row form, `(rows, values)`: the distinct
 ids the batch read and one gradient row each, every other row being zero.
 A batch reads a few hundred of the table's ~10k rows, so the backward never
-builds the dense table, and the optimizers step only the rows it names.
+builds the dense table, and the optimizers skip the rows no batch has read.
 There is one forward: `score` runs the same `encode_features` with
 train=False over any number of records and gives each record bit-for-bit
 the probabilities it gets when scored alone; `forward_probs` is `score` on

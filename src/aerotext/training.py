@@ -98,12 +98,13 @@ class Adam:
     not read, whose moments still carry momentum.
 
     A table whose gradient comes in row form (`models.RowGrad`) is stepped
-    only on the rows some batch has read (`touched`). Every other row still
-    has m = v = +0 and a zero gradient, so the dense update would subtract
-    exactly +0 from it: skipping it changes no bit. While the touched rows
-    are fewer than half the table, they are gathered, updated and scattered
-    back; from half on, the whole table steps in place, with its gradient
-    written into a zero buffer kept for the purpose and cleared after.
+    only on the rows some batch has read. Every other row still has
+    m = v = +0 and a zero gradient, so the dense update would subtract
+    exactly +0 from it: skipping it changes no bit. Such a table's moments
+    are packed in the order its rows were first read: row i of `m[name]`
+    and `v[name]` belongs to table row `read[name][i]`, and the rows past
+    `len(read[name])` are unused zeros. A step updates that leading slice of
+    the moments in place and gathers and scatters only the read table rows.
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -114,8 +115,8 @@ class Adam:
         self.t = 0
         self.m = {name: np.zeros_like(p) for name, p in params.items()}
         self.v = {name: np.zeros_like(p) for name, p in params.items()}
-        self.touched: dict[str, np.ndarray] = {}
-        self.dense_grad: dict[str, np.ndarray] = {}
+        self.read: dict[str, np.ndarray] = {}   # row-form tables: rows in first-read order
+        self.slot: dict[str, np.ndarray] = {}   # each row's place in `read`, -1 if unread
 
     def step(self, grads: Mapping[str, np.ndarray | models.RowGrad]) -> None:
         self.t += 1
@@ -127,20 +128,16 @@ class Adam:
                 self._update(p, m, v, g, correct1, correct2)
                 continue
             rows, values = g
-            touched = self.touched.setdefault(name, np.zeros(len(p), dtype=bool))
-            touched[rows] = True
-            if 2 * np.count_nonzero(touched) < len(p):
-                active = np.flatnonzero(touched)
-                dense = np.zeros((len(active), *p.shape[1:]))
-                dense[np.searchsorted(active, rows)] = values
-                p_a, m_a, v_a = p[active], m[active], v[active]
-                self._update(p_a, m_a, v_a, dense, correct1, correct2)
-                p[active], m[active], v[active] = p_a, m_a, v_a
-            else:
-                dense = self.dense_grad.setdefault(name, np.zeros_like(p))
-                dense[rows] = values
-                self._update(p, m, v, dense, correct1, correct2)
-                dense[rows] = 0.0
+            slot = self.slot.setdefault(name, np.full(len(p), -1))
+            read = self.read.get(name, rows[:0])
+            new = rows[slot[rows] < 0]
+            slot[new] = np.arange(len(read), len(read) + len(new))
+            read = self.read[name] = np.concatenate([read, new])
+            dense = np.zeros((len(read), *p.shape[1:]))
+            dense[slot[rows]] = values
+            p_read = p[read]
+            self._update(p_read, m[:len(read)], v[:len(read)], dense, correct1, correct2)
+            p[read] = p_read
 
     def _update(self, p, m, v, g, correct1, correct2) -> None:
         # In place, with the operation order of beta * m + (1 - beta) * g and

@@ -54,6 +54,13 @@ def dense_grads(grads, params):
     return out
 
 
+def dense_loss_and_grads(config, params, *batch):
+    """`models.loss_and_grads` with its gradients written out dense, the form
+    `autodiff.gradient_check` compares coordinate by coordinate."""
+    loss, grads = models.loss_and_grads(config, params, *batch)
+    return loss, dense_grads(grads, params)
+
+
 def history_from_csv(text: str) -> list[EpochRecord]:
     """The records of a `history.csv` text, the inverse of
     `training.history_to_csv`."""

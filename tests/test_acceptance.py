@@ -41,7 +41,7 @@ from aerotext.textprep import (
 from aerotext.training import TrainConfig, train
 from aerotext.textprep import TokenSequence
 
-from conftest import random_params, synthetic_corpus
+from conftest import dense_loss_and_grads, random_params, synthetic_corpus
 from oracles import lstm_unroll, report_from_lists, srnn_unroll
 
 
@@ -70,7 +70,7 @@ def test_criterion_1_gradient_fidelity():
     for arch, seed in (("srnn", 101), ("lstm", 102), ("blstm", 103), ("cnn", 104)):
         config, params, seq, label = random_mini_instance(arch, seed)
         worst[arch] = ad.gradient_check(
-            lambda: models.loss_and_grads(config, params, [seq], [label]), params, epsilon=1e-5)
+            lambda: dense_loss_and_grads(config, params, [seq], [label]), params, epsilon=1e-5)
     elapsed = time.time() - started
     ok = all(err < 1e-4 for err in worst.values()) and elapsed < 120
     detail = ("end-to-end finite differences, every parameter coordinate: "

@@ -15,7 +15,7 @@ from aerotext.errors import ShapeMismatch
 from aerotext.models import ModelConfig, cnn_forward, embedding_lookup, head_logits
 from aerotext.textprep import TokenSequence
 
-from conftest import dense_grads, head_params, random_params
+from conftest import dense_grads, dense_loss_and_grads, head_params, random_params
 
 
 def layer_check(forward, inputs, seed=0):
@@ -82,7 +82,7 @@ class TestBackward:
 
         def forward(p):
             rows, backward = embedding_lookup(ids, p["table"])
-            return rows, lambda d: {"table": backward(d)}
+            return rows, lambda d: dense_grads({"table": backward(d)}, p)
         assert layer_check(forward, inputs) < 1e-6
 
     def test_shared_weight_accumulates_across_uses(self):
@@ -306,7 +306,7 @@ def _random_chain_error(seed: int) -> float:
     if rng.random() < 0.5:
         masks = (rng.random((len(seqs), config.head_units)) < 0.6) / 0.6
     return ad.gradient_check(
-        lambda: models.loss_and_grads(config, params, seqs, labels, masks), params)
+        lambda: dense_loss_and_grads(config, params, seqs, labels, masks), params)
 
 
 @pytest.mark.parametrize("seed", range(20))

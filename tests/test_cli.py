@@ -249,6 +249,8 @@ class TestTrain:
         assert runs[0] == runs[1]
         blas = json.loads(runs[0]["manifest.json"])["blas"]
         assert set(blas) == {"library", "config", "threads"}
+        if cli._blas()["threads"] == "unknown":
+            pytest.skip("this numpy's OpenBLAS does not export the scipy_openblas symbols")
         assert blas["threads"] == 1
         assert "OpenBLAS" in blas["config"]
 

@@ -23,7 +23,7 @@ from aerotext.models import (
 )
 from aerotext.textprep import TokenSequence
 
-from conftest import dense_grads, head_params, random_params
+from conftest import dense_grads, dense_loss_and_grads, head_params, random_params
 from oracles import forward_probs_per_record, lstm_unroll, srnn_unroll
 
 
@@ -485,7 +485,7 @@ class TestEncodeFeatures:
         params = random_params(config, rng)
         seq = TokenSequence([2, 5, 3, 2, 0, 0], 4)
         assert ad.gradient_check(
-            lambda: models.loss_and_grads(config, params, [seq], [1]), params) < 1e-4
+            lambda: dense_loss_and_grads(config, params, [seq], [1]), params) < 1e-4
 
 
 @st.composite
