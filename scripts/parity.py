@@ -1,0 +1,126 @@
+"""Artifact parity between the working tree and a git revision.
+
+    python scripts/parity.py REF
+
+Extracts REF with `git archive` into a temporary directory (no worktree, no
+branch change) and runs the same CLI sequence on both trees under
+OPENBLAS_NUM_THREADS=1, since reruns are byte-identical only at a fixed
+BLAS thread count:
+
+  - `prepare` of the `bench/gen.py` seed-3 corpus at --max-len 24;
+  - `train` for 2 epochs, every architecture, with Adam at the defaults and
+    with SGD at lr 0.05, dropout 0.3 and --select-best-by validation_loss;
+  - `evaluate --split test` and `predict --text` of every checkpoint.
+
+Every file the runs write, and the standard output of every command, is
+compared byte for byte, except that a `manifest.json` is compared with its
+path strings removed. Exits 0 when all files match and 1 after listing
+every file that differs or exists on one side only. Takes about two minutes
+on two cores; it is not part of the test suite.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+ARCHITECTURES = ("cnn", "srnn", "lstm", "blstm")
+SETUPS = {"adam": [],
+          "sgd": ["--optimizer", "sgd", "--lr", "0.05", "--dropout", "0.3",
+                  "--select-best-by", "validation_loss"]}
+TEXT = "Engine caught fire during a routine training exercise over the base"
+
+
+def extract(ref: str, into: Path) -> Path:
+    archive = subprocess.run(["git", "archive", "--format=tar", ref], cwd=ROOT,
+                             check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into, filter="data")
+    return into
+
+
+def write_corpus(into: Path) -> tuple[Path, Path]:
+    sys.path.insert(0, str(ROOT / "bench"))
+    import gen
+    return gen.write(gen.generate(3), into)
+
+
+def run_tree(tree: Path, work: Path, csv: Path, mapping: Path) -> None:
+    """The CLI sequence of the module docstring with `tree`'s package, every
+    output under `work`, every path relative to it."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(tree / "src"))
+    env.pop("AEROTEXT_SEED", None)
+
+    def cli(stdout: str, *args: str) -> None:
+        with open(work / stdout, "w") as sink:
+            subprocess.run([sys.executable, "-m", "aerotext.cli", *args], cwd=work, env=env,
+                           check=True, stdout=sink)
+
+    work.mkdir(parents=True)
+    cli("prepare.out", "prepare", "--input", str(csv), "--mapping", str(mapping),
+        "--seed", "3", "--max-len", "24", "--out", "prepared")
+    for arch in ARCHITECTURES:
+        for setup, options in SETUPS.items():
+            run = f"{arch}-{setup}"
+            print(f"{tree.name}: {run}", file=sys.stderr, flush=True)
+            cli(f"{run}.train.out", "train", "--data", "prepared", "--arch", arch,
+                "--epochs", "2", "--seed", "3", *options, "--out", run)
+            checkpoint = f"{run}/checkpoint.atxc"
+            cli(f"{run}.evaluate.out", "evaluate", "--checkpoint", checkpoint,
+                "--data", "prepared", "--split", "test", "--out", f"{run}/evaluate")
+            cli(f"{run}.predict.out", "predict", "--checkpoint", checkpoint, "--text", TEXT)
+
+
+def without_paths(value):
+    """A parsed manifest with every string that names a path replaced."""
+    if isinstance(value, dict):
+        return {key: without_paths(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [without_paths(item) for item in value]
+    if isinstance(value, str) and "/" in value:
+        return "<path>"
+    return value
+
+
+def same(a: Path, b: Path) -> bool:
+    if a.name == "manifest.json":
+        return without_paths(json.loads(a.read_text())) == without_paths(
+            json.loads(b.read_text()))
+    return a.read_bytes() == b.read_bytes()
+
+
+def differing(ref: Path, change: Path) -> list[str]:
+    files = {path.relative_to(root) for root in (ref, change)
+             for path in root.rglob("*") if path.is_file()}
+    return sorted(str(name) for name in files
+                  if not ((ref / name).is_file() and (change / name).is_file()
+                          and same(ref / name, change / name)))
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="aerotext-parity-") as tmp:
+        tmp = Path(tmp)
+        ref_tree = extract(argv[0], tmp / "ref")
+        csv, mapping = write_corpus(tmp / "corpus")
+        run_tree(ref_tree, tmp / "out-ref", csv, mapping)
+        run_tree(ROOT, tmp / "out-change", csv, mapping)
+        bad = differing(tmp / "out-ref", tmp / "out-change")
+        total = sum(path.is_file() for path in (tmp / "out-change").rglob("*"))
+    for name in bad:
+        print(f"differs: {name}")
+    print(f"{total - len(bad)} of {total} files identical to {argv[0]}")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -18,10 +18,12 @@ State updates:
     BLSTM   concat(final h of forward pass, final h of reversed pass)
     CNN     relu(valid 1-d convolution + bias), max over positions
 
-Parameters are one dict of arrays keyed by the `parameter_table` names. An
-LSTM cell is one (4H, H+d) matrix and one 4H bias with the gates fused in
-f, i, o, g order (Appleyard et al., arXiv:1604.01946); only the checkpoint
-keeps one tensor per gate (`checkpoint_views`, `fuse_checkpoint`). Each
+Training holds the parameters as one float64 vector in `parameter_table`
+order; the layers read them through a dict of views keyed by the table
+names (`parameter_views`). An LSTM cell is one (4H, H+d) matrix and one 4H
+bias with the gates fused in f, i, o, g order (Appleyard et al.,
+arXiv:1604.01946); only the checkpoint keeps one tensor per gate, its
+consecutive row blocks (`checkpoint_views`, `fuse_checkpoint`). Each
 layer function returns its output and a closure, `back`, that maps the
 gradient of that output to the gradients of the layer's input and
 parameters. `loss_and_grads` chains the layers over a training batch. The
@@ -205,11 +207,24 @@ def check_parameter_shapes(config: ModelConfig, arrays: Mapping[str, np.ndarray]
             raise ShapeMismatch(f"{name}: expected shape {shape}, got {tuple(arrays[name].shape)}")
 
 
-def checkpoint_views(config: ModelConfig, params: Mapping[str, np.ndarray]) -> Params:
-    """The checkpoint tensors of `params` without a copy: each fused cell
-    tensor as views of its gate row blocks."""
-    return {name: block for spec in parameter_table(config)
-            for name, block in zip(spec.stored, np.split(params[spec.name], len(spec.stored)))}
+def _views(flat: np.ndarray, shapes: Mapping[str, tuple[int, ...]]) -> Params:
+    """`flat` cut into consecutive row-major views, one per name and shape."""
+    views, start = {}, 0
+    for name, shape in shapes.items():
+        views[name] = flat[start:start + math.prod(shape)].reshape(shape)
+        start += math.prod(shape)
+    return views
+
+
+def parameter_views(config: ModelConfig, flat: np.ndarray) -> Params:
+    """The parameters of a flat vector in table order, each a view of it."""
+    return _views(flat, {spec.name: spec.shape for spec in parameter_table(config)})
+
+
+def checkpoint_views(config: ModelConfig, flat: np.ndarray) -> Params:
+    """The checkpoint tensors of a flat parameter vector without a copy: a
+    fused cell's gate tensors are its consecutive row blocks."""
+    return _views(flat, expected_parameter_shapes(config))
 
 
 def fuse_checkpoint(config: ModelConfig, tensors: Mapping[str, np.ndarray]) -> Params:
@@ -220,10 +235,11 @@ def fuse_checkpoint(config: ModelConfig, tensors: Mapping[str, np.ndarray]) -> P
             else tensors[spec.name] for spec in parameter_table(config)}
 
 
-def init_params(config: ModelConfig, seed: int) -> Params:
-    """Seeded deterministic initialization, tensor by tensor in table order."""
+def init_params(config: ModelConfig, seed: int) -> np.ndarray:
+    """Seeded deterministic initialization: one flat vector, drawn tensor by
+    tensor in table order."""
     rng = np.random.default_rng(seed)
-    return {spec.name: spec.initial(rng) for spec in parameter_table(config)}
+    return np.concatenate([spec.initial(rng).ravel() for spec in parameter_table(config)])
 
 
 # --- layers: each returns (output, back) --------------------------------------
@@ -516,13 +532,13 @@ def encode_features(config: ModelConfig, params: Mapping[str, np.ndarray],
 
 def loss_and_grads(config: ModelConfig, params: Mapping[str, np.ndarray],
                    seqs: Sequence[TokenSequence], labels: Sequence[int],
-                   masks: np.ndarray | None = None
-                   ) -> tuple[float, dict[str, np.ndarray | RowGrad]]:
-    """Mean cross-entropy of a batch and its gradient for every parameter,
-    keyed and ordered like `params`; the embedding table's gradient is in
-    row form, `(rows, values)`. `masks` holds one dropout mask row per
-    record, or None for no dropout. The loss gradient is the exact
-    (p - onehot) / B; it does not pass through the cross-entropy clamp."""
+                   masks: np.ndarray | None = None) -> tuple[float, RowGrad, np.ndarray]:
+    """Mean cross-entropy of a batch, the embedding table's gradient in row
+    form, `(rows, values)`, and the gradient of every other tensor as one
+    flat vector in table order (the layout of the parameters after the
+    table). `masks` holds one dropout mask row per record, or None for no
+    dropout. The loss gradient is the exact (p - onehot) / B; it does not
+    pass through the cross-entropy clamp."""
     features, encoder_back = encode_features(config, params, seqs)
     logits, head_back = head_logits(features, params, masks)
     probs = ad.softmax(logits)
@@ -532,7 +548,8 @@ def loss_and_grads(config: ModelConfig, params: Mapping[str, np.ndarray],
     d_logits[np.arange(batch), labels] -= 1.0
     d_features, grads = head_back((1.0 / batch) * d_logits)
     grads |= encoder_back(d_features)
-    return loss, {name: grads[name] for name in params}
+    return loss, grads.pop("embedding.table"), np.concatenate(
+        [grads[spec.name].ravel() for spec in parameter_table(config)[1:]])
 
 
 SCORE_CHUNK = 64  # records scored together; bounds the packed projections of one chunk

@@ -9,6 +9,7 @@ ties) is returned. The test part is never touched here.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import struct
@@ -78,18 +79,16 @@ class EpochRecord:
 # --- optimizers ---------------------------------------------------------------
 
 class Sgd:
-    def __init__(self, params: dict[str, np.ndarray], lr: float):
-        self.params = params
-        self.lr = lr
+    """Plain SGD over the embedding table, stepped on the rows its row-form
+    gradient names, and the flat vector of every other parameter."""
 
-    def step(self, grads: Mapping[str, np.ndarray | models.RowGrad]) -> None:
-        for name, p in self.params.items():
-            g = grads[name]
-            if isinstance(g, tuple):
-                rows, values = g
-                p[rows] -= self.lr * values
-            else:
-                p -= self.lr * g
+    def __init__(self, table: np.ndarray, dense: np.ndarray, lr: float):
+        self.table, self.dense, self.lr = table, dense, lr
+
+    def step(self, table_grad: models.RowGrad, grad: np.ndarray) -> None:
+        rows, values = table_grad
+        self.table[rows] -= self.lr * values
+        self.dense -= self.lr * grad
 
 
 class Adam:
@@ -97,47 +96,42 @@ class Adam:
     every entry moves on every step, including embedding rows a batch does
     not read, whose moments still carry momentum.
 
-    A table whose gradient comes in row form (`models.RowGrad`) is stepped
+    It steps the flat vector of every parameter but the embedding table as
+    a whole, and the table from its row-form gradient (`models.RowGrad`)
     only on the rows some batch has read. Every other row still has
     m = v = +0 and a zero gradient, so the dense update would subtract
-    exactly +0 from it: skipping it changes no bit. Such a table's moments
-    are packed in the order its rows were first read: row i of `m[name]`
-    and `v[name]` belongs to table row `read[name][i]`, and the rows past
-    `len(read[name])` are unused zeros. A step updates that leading slice of
-    the moments in place and gathers and scatters only the read table rows.
+    exactly +0 from it: skipping it changes no bit. The table's moments are
+    packed in the order its rows were first read: row i of `table_m` and
+    `table_v` belongs to table row `read[i]`, and the rows past `len(read)`
+    are unused zeros. A step updates that leading slice of the moments in
+    place and gathers and scatters only the read table rows.
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: dict[str, np.ndarray], lr: float):
-        self.params = params
-        self.lr = lr
+    def __init__(self, table: np.ndarray, dense: np.ndarray, lr: float):
+        self.table, self.dense, self.lr = table, dense, lr
         self.t = 0
-        self.m = {name: np.zeros_like(p) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p) for name, p in params.items()}
-        self.read: dict[str, np.ndarray] = {}   # row-form tables: rows in first-read order
-        self.slot: dict[str, np.ndarray] = {}   # each row's place in `read`, -1 if unread
+        self.m, self.v = np.zeros_like(dense), np.zeros_like(dense)
+        self.table_m, self.table_v = np.zeros_like(table), np.zeros_like(table)
+        self.read = np.zeros(0, dtype=np.int64)   # table rows in first-read order
+        self.slot = np.full(len(table), -1)       # each row's place in `read`, -1 if unread
 
-    def step(self, grads: Mapping[str, np.ndarray | models.RowGrad]) -> None:
+    def step(self, table_grad: models.RowGrad, grad: np.ndarray) -> None:
         self.t += 1
         correct1 = 1.0 - self.BETA1 ** self.t
         correct2 = 1.0 - self.BETA2 ** self.t
-        for name, p in self.params.items():
-            g, m, v = grads[name], self.m[name], self.v[name]
-            if not isinstance(g, tuple):
-                self._update(p, m, v, g, correct1, correct2)
-                continue
-            rows, values = g
-            slot = self.slot.setdefault(name, np.full(len(p), -1))
-            read = self.read.get(name, rows[:0])
-            new = rows[slot[rows] < 0]
-            slot[new] = np.arange(len(read), len(read) + len(new))
-            read = self.read[name] = np.concatenate([read, new])
-            dense = np.zeros((len(read), *p.shape[1:]))
-            dense[slot[rows]] = values
-            p_read = p[read]
-            self._update(p_read, m[:len(read)], v[:len(read)], dense, correct1, correct2)
-            p[read] = p_read
+        self._update(self.dense, self.m, self.v, grad, correct1, correct2)
+        rows, values = table_grad
+        new = rows[self.slot[rows] < 0]
+        self.slot[new] = np.arange(len(self.read), len(self.read) + len(new))
+        read = self.read = np.concatenate([self.read, new])
+        g = np.zeros((len(read), *self.table.shape[1:]))
+        g[self.slot[rows]] = values
+        p_read = self.table[read]
+        self._update(p_read, self.table_m[:len(read)], self.table_v[:len(read)], g,
+                     correct1, correct2)
+        self.table[read] = p_read
 
     def _update(self, p, m, v, g, correct1, correct2) -> None:
         # In place, with the operation order of beta * m + (1 - beta) * g and
@@ -154,15 +148,6 @@ class Adam:
         p -= np.divide(t, u, out=t)
 
 
-def _first_nonfinite(grads: Mapping[str, np.ndarray | models.RowGrad]) -> str | None:
-    """The name of the first gradient, in table order, holding a NaN or an
-    infinity, else None."""
-    for name, g in grads.items():
-        if not np.isfinite(g[1] if isinstance(g, tuple) else g).all():
-            return name
-    return None
-
-
 # --- checkpoints ----------------------------------------------------------------
 
 @dataclass
@@ -177,10 +162,53 @@ class ModelCheckpoint:
     epoch: int
 
 
+# Tensor layout: rank and dims as little-endian u64, then the values as
+# little-endian f64 in row-major order.
+
+def write_tensor(sink: BinaryIO, array: np.ndarray) -> None:
+    arr = np.asarray(array, dtype=np.float64)
+    sink.write(struct.pack("<Q", arr.ndim))
+    sink.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
+    sink.write(arr.astype("<f8", copy=False).tobytes())  # tobytes() is row-major
+
+
+def read_tensor(source: BinaryIO) -> np.ndarray:
+    rank = struct.unpack("<Q", _read_bytes(source, 8))[0]
+    shape = struct.unpack(f"<{rank}Q", _read_bytes(source, 8 * rank)) if rank else ()
+    raw = _read_bytes(source, 8 * math.prod(shape))  # math.prod: no int64 wrap-around
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+
+
+def _read_bytes(source: BinaryIO, n: int) -> bytes:
+    """Exactly n bytes, else EOFError. A seekable source refuses a length
+    beyond its end before reading, so a garbled length field cannot make
+    the read allocate it."""
+    left = _bytes_left(source)
+    if left is not None and n > left:
+        raise EOFError(f"expected {n} bytes, only {left} left")
+    buf = source.read(n)
+    if len(buf) != n:
+        raise EOFError(f"expected {n} bytes, got {len(buf)}")
+    return buf
+
+
+def _bytes_left(source: BinaryIO) -> int | None:
+    """Bytes from the read position to the end of a seekable source, else None."""
+    try:
+        if not source.seekable():
+            return None
+        here = source.tell()
+        end = source.seek(0, io.SEEK_END)
+        source.seek(here)
+    except (AttributeError, OSError):
+        return None
+    return end - here
+
+
 def save_checkpoint(ckpt: ModelCheckpoint, sink: str | Path | BinaryIO) -> None:
     """Binary layout: magic ATXC, u32 version, length-prefixed canonical
     JSON metadata, length-prefixed vocabulary TSV, then named tensors in
-    the shared binary format. Little-endian throughout."""
+    the tensor layout above. Little-endian throughout."""
     if isinstance(sink, (str, Path)):
         with open(sink, "wb") as handle:
             save_checkpoint(ckpt, handle)
@@ -201,7 +229,7 @@ def save_checkpoint(ckpt: ModelCheckpoint, sink: str | Path | BinaryIO) -> None:
         encoded = name.encode("utf-8")
         sink.write(struct.pack("<Q", len(encoded)))
         sink.write(encoded)
-        ad.write_tensor(sink, ckpt.tensors[name])
+        write_tensor(sink, ckpt.tensors[name])
 
 
 def load_checkpoint(source: str | Path | BinaryIO) -> ModelCheckpoint:
@@ -211,22 +239,22 @@ def load_checkpoint(source: str | Path | BinaryIO) -> ModelCheckpoint:
         with open(source, "rb", buffering=0) as handle:
             return load_checkpoint(handle)
     try:
-        magic = ad._read_bytes(source, 4)
+        magic = _read_bytes(source, 4)
         if magic != CHECKPOINT_MAGIC:
             raise CorruptCheckpoint(f"bad magic {magic!r}")
-        version = struct.unpack("<I", ad._read_bytes(source, 4))[0]
+        version = struct.unpack("<I", _read_bytes(source, 4))[0]
         if version != CHECKPOINT_VERSION:
             raise VersionUnsupported(f"checkpoint version {version} not supported")
-        meta_len = struct.unpack("<Q", ad._read_bytes(source, 8))[0]
-        meta = json.loads(ad._read_bytes(source, meta_len).decode("utf-8"))
-        vocab_len = struct.unpack("<Q", ad._read_bytes(source, 8))[0]
-        vocab_text = ad._read_bytes(source, vocab_len).decode("utf-8")
-        n_tensors = struct.unpack("<I", ad._read_bytes(source, 4))[0]
+        meta_len = struct.unpack("<Q", _read_bytes(source, 8))[0]
+        meta = json.loads(_read_bytes(source, meta_len).decode("utf-8"))
+        vocab_len = struct.unpack("<Q", _read_bytes(source, 8))[0]
+        vocab_text = _read_bytes(source, vocab_len).decode("utf-8")
+        n_tensors = struct.unpack("<I", _read_bytes(source, 4))[0]
         tensors = {}
         for _ in range(n_tensors):
-            name_len = struct.unpack("<Q", ad._read_bytes(source, 8))[0]
-            name = ad._read_bytes(source, name_len).decode("utf-8")
-            tensors[name] = ad.read_tensor(source)
+            name_len = struct.unpack("<Q", _read_bytes(source, 8))[0]
+            name = _read_bytes(source, name_len).decode("utf-8")
+            tensors[name] = read_tensor(source)
     except (EOFError, UnicodeDecodeError, json.JSONDecodeError, struct.error,
             OverflowError, MemoryError, RecursionError, ValueError) as exc:
         raise CorruptCheckpoint(f"truncated or garbled checkpoint: {exc}") from None
@@ -304,31 +332,37 @@ def train(model_config: ModelConfig, train_config: TrainConfig, split: SplitData
     val_seqs = _encode_all(split.validation, vocab, max_len, truncate)
     val_labels = [int(r.label) for r in split.validation]
 
-    params = models.init_params(model_config, train_config.seed)
+    flat = models.init_params(model_config, train_config.seed)
+    params = models.parameter_views(model_config, flat)
+    table = params["embedding.table"]
     optimizer = (Sgd if train_config.optimizer == "sgd" else Adam)(
-        params, train_config.learning_rate)
+        table, flat[table.size:], train_config.learning_rate)
     rng = np.random.default_rng(train_config.seed)
     n = len(train_seqs)
     batch = train_config.batch_size
 
     history: list[EpochRecord] = []
     best: EpochRecord | None = None
-    best_params: dict[str, np.ndarray] = {}
+    best_flat = flat
 
     for epoch in range(1, train_config.epochs + 1):
         order = rng.permutation(n)
         for start in range(0, n, batch):
             chosen = order[start:start + batch]
-            loss, grads = models.loss_and_grads(
+            loss, table_grad, grad = models.loss_and_grads(
                 model_config, params, [train_seqs[i] for i in chosen],
                 [train_labels[i] for i in chosen], _dropout_masks(model_config, rng, len(chosen)))
             if not math.isfinite(loss):
                 raise NonfiniteLoss(f"loss is {loss} at epoch {epoch}, batch {start // batch}")
-            bad = _first_nonfinite(grads)
-            if bad is not None:
+            if not (np.isfinite(table_grad[1]).all() and np.isfinite(grad).all()):
+                # the tensor of the first such entry in the flat layout, table first
+                at = (table.size + int(np.argmin(np.isfinite(grad)))
+                      if np.isfinite(table_grad[1]).all() else 0)
+                bad = next(name for name, p in params.items()
+                           if np.shares_memory(p, flat[at:at + 1]))
                 raise NonfiniteGradient(f"gradient of {bad} is non-finite at epoch {epoch}, "
                                         f"batch {start // batch}")
-            optimizer.step(grads)
+            optimizer.step(table_grad, grad)
 
         train_loss, train_acc = _dataset_metrics(model_config, params, train_seqs, train_labels)
         val_loss, val_acc = _dataset_metrics(model_config, params, val_seqs, val_labels)
@@ -341,10 +375,10 @@ def train(model_config: ModelConfig, train_config: TrainConfig, split: SplitData
         history.append(record)
         if _improved(record, best, train_config.select_best_by):
             best = record
-            best_params = {name: p.copy() for name, p in params.items()}
+            best_flat = flat.copy()
 
     checkpoint = ModelCheckpoint(model_config, vocab, frozenset(stopwords), truncate,
-                                 models.checkpoint_views(model_config, best_params), best.epoch)
+                                 models.checkpoint_views(model_config, best_flat), best.epoch)
     return checkpoint, history
 
 

@@ -41,24 +41,59 @@ def random_params(config, rng):
             for spec in models.parameter_table(config)}
 
 
-def dense_grads(grads, params):
-    """`loss_and_grads` gradients with a row-form gradient `(rows, values)`
-    written out as the dense array it stands for: zero outside `rows`."""
-    out = {}
-    for name, grad in grads.items():
-        if isinstance(grad, tuple):
-            rows, values = grad
-            grad = np.zeros(params[name].shape)
-            grad[rows] = values
-        out[name] = grad
-    return out
+def initial_params(config, seed):
+    """The parameters `models.init_params` draws, as named views."""
+    return models.parameter_views(config, models.init_params(config, seed))
+
+
+def dense_table(table_grad, shape):
+    """A row-form gradient `(rows, values)` written out as the dense array
+    it stands for: zero outside `rows`."""
+    rows, values = table_grad
+    dense = np.zeros(shape)
+    dense[rows] = values
+    return dense
+
+
+def dense_grads(config, table_grad, grad):
+    """`loss_and_grads` gradients by parameter name, the row-form table
+    gradient written out dense."""
+    table = dense_table(table_grad, models.parameter_table(config)[0].shape)
+    return models.parameter_views(config, np.concatenate([table.ravel(), grad]))
 
 
 def dense_loss_and_grads(config, params, *batch):
-    """`models.loss_and_grads` with its gradients written out dense, the form
-    `autodiff.gradient_check` compares coordinate by coordinate."""
-    loss, grads = models.loss_and_grads(config, params, *batch)
-    return loss, dense_grads(grads, params)
+    """`models.loss_and_grads` with its gradients by name and written out
+    dense, the form `gradient_check` compares coordinate by coordinate."""
+    loss, table_grad, grad = models.loss_and_grads(config, params, *batch)
+    return loss, dense_grads(config, table_grad, grad)
+
+
+def gradient_check(loss_and_grads, params, epsilon=1e-5):
+    """Max relative error between analytic gradients and central differences.
+
+    `loss_and_grads` must be a deterministic closure over the arrays in
+    `params` returning (loss, {name: gradient}); each coordinate is nudged
+    in place and restored. Relative error per coordinate is
+    |a - n| / max(|a|, |n|, 1e-12).
+    """
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    _, grads = loss_and_grads()
+    analytic = {name: np.array(grads[name], dtype=np.float64) for name in params}
+    worst = 0.0
+    for name, p in params.items():
+        for index in np.ndindex(p.shape):
+            orig = p[index]
+            p[index] = orig + epsilon
+            f_plus = loss_and_grads()[0]
+            p[index] = orig - epsilon
+            f_minus = loss_and_grads()[0]
+            p[index] = orig
+            numeric = (f_plus - f_minus) / (2.0 * epsilon)
+            a = analytic[name][index]
+            worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-12))
+    return worst
 
 
 def history_from_csv(text: str) -> list[EpochRecord]:

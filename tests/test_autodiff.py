@@ -1,5 +1,5 @@
-"""Gradient checks of the hand-derived backward passes, the shared softmax
-and the tensor serialization."""
+"""Gradient checks of the hand-derived backward passes and the shared
+softmax."""
 
 import inspect
 import sys
@@ -15,7 +15,13 @@ from aerotext.errors import ShapeMismatch
 from aerotext.models import ModelConfig, cnn_forward, embedding_lookup, head_logits
 from aerotext.textprep import TokenSequence
 
-from conftest import dense_grads, dense_loss_and_grads, head_params, random_params
+from conftest import (
+    dense_loss_and_grads,
+    dense_table,
+    gradient_check,
+    head_params,
+    random_params,
+)
 
 
 def layer_check(forward, inputs, seed=0):
@@ -29,7 +35,7 @@ def layer_check(forward, inputs, seed=0):
     def loss_and_grads():
         out, backward = forward(inputs)
         return float(np.sum(out * weight)), backward(weight)
-    return ad.gradient_check(loss_and_grads, inputs)
+    return gradient_check(loss_and_grads, inputs)
 
 
 class TestPrimitiveValues:
@@ -82,7 +88,7 @@ class TestBackward:
 
         def forward(p):
             rows, backward = embedding_lookup(ids, p["table"])
-            return rows, lambda d: dense_grads({"table": backward(d)}, p)
+            return rows, lambda d: {"table": dense_table(backward(d), p["table"].shape)}
         assert layer_check(forward, inputs) < 1e-6
 
     def test_shared_weight_accumulates_across_uses(self):
@@ -158,8 +164,8 @@ class TestBackward:
                              head_units=2, max_len=4)
         params = random_params(config, np.random.default_rng(5))
         seqs = [TokenSequence([2, 3, 7, 7], 2), TokenSequence([3, 0, 0, 0], 1)]
-        _, grads = models.loss_and_grads(config, params, seqs, [0, 2])
-        table = dense_grads(grads, params)["embedding.table"]
+        _, grads = dense_loss_and_grads(config, params, seqs, [0, 2])
+        table = grads["embedding.table"]
         assert np.all(table[[2, 3]] != 0)
         np.testing.assert_array_equal(table[[0, 1, 4, 5, 6, 7]], np.zeros((6, 2)))
 
@@ -212,7 +218,7 @@ class TestBackward:
             config = ModelConfig(arch=arch, vocab_size=6, embedding_dim=2, hidden_units=3,
                                  head_units=3, max_len=4, conv_filters=2, conv_kernel=2)
             params = random_params(config, np.random.default_rng(8))
-            _, grads = models.loss_and_grads(config, params, [seq], [2])
+            _, grads = dense_loss_and_grads(config, params, [seq], [2])
             want = models.forward_probs(config, params, seq)
             want[2] -= 1.0
             np.testing.assert_array_equal(grads["head.b2"], want, err_msg=arch)
@@ -227,11 +233,11 @@ class TestBackward:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(len(inspect.stack()) + 40)
         try:
-            loss, grads = models.loss_and_grads(config, params, [seq], [1])
+            loss, grads = dense_loss_and_grads(config, params, [seq], [1])
         finally:
             sys.setrecursionlimit(limit)
         assert np.isfinite(loss)
-        assert all(np.isfinite(g).all() for g in dense_grads(grads, params).values())
+        assert all(np.isfinite(g).all() for g in grads.values())
 
 
 class TestGradientCheck:
@@ -239,7 +245,7 @@ class TestGradientCheck:
         rng = np.random.default_rng(1)
         params = {"w": rng.uniform(-2, 2, 6)}
         x = rng.uniform(-2, 2, 6)
-        err = ad.gradient_check(lambda: (float(params["w"] @ x), {"w": x}), params)
+        err = gradient_check(lambda: (float(params["w"] @ x), {"w": x}), params)
         assert err < 1e-9
 
     def test_sigmoid_of_dense_layer(self):
@@ -252,12 +258,12 @@ class TestGradientCheck:
             d = y * (1.0 - y)
             return float(y.sum()), {"w": np.outer(d, x), "b": d}
 
-        assert ad.gradient_check(fn, params) < 1e-6
+        assert gradient_check(fn, params) < 1e-6
 
     def test_constant_function_has_zero_error(self):
         params = {"p": np.array([1.0, 2.0])}
-        assert ad.gradient_check(lambda: (0.0 * float(params["p"].sum()),
-                                          {"p": np.zeros(2)}), params) == 0.0
+        assert gradient_check(lambda: (0.0 * float(params["p"].sum()),
+                                       {"p": np.zeros(2)}), params) == 0.0
 
     def test_composite_primitives(self):
         rng = np.random.default_rng(3)
@@ -275,12 +281,12 @@ class TestGradientCheck:
             d_ab = d_h * (1.0 - t * t)
             return loss, {"a": d_ab @ b.T, "b": a.T @ d_ab, "v": d_h.sum(axis=0)}
 
-        assert ad.gradient_check(fn, params) < 1e-6
+        assert gradient_check(fn, params) < 1e-6
 
     def test_detects_a_wrong_gradient(self):
         params = {"w": np.array([0.5, -1.5])}
         halved = lambda: (float(np.sum(params["w"] ** 2)), {"w": params["w"]})
-        assert ad.gradient_check(halved, params) > 0.4
+        assert gradient_check(halved, params) > 0.4
 
 
 def _random_chain_error(seed: int) -> float:
@@ -305,7 +311,7 @@ def _random_chain_error(seed: int) -> float:
     masks = None
     if rng.random() < 0.5:
         masks = (rng.random((len(seqs), config.head_units)) < 0.6) / 0.6
-    return ad.gradient_check(
+    return gradient_check(
         lambda: dense_loss_and_grads(config, params, seqs, labels, masks), params)
 
 
@@ -326,34 +332,3 @@ def test_relu_positive_homogeneity(c, xs):
     left = head_logits(c * x, head)[0]
     right = c * head_logits(x, head)[0]
     np.testing.assert_allclose(left, right, rtol=1e-12, atol=1e-12)
-
-
-class TestSerialization:
-    @pytest.mark.parametrize("shape", [(), (3,), (2, 4), (2, 3, 2)])
-    def test_round_trip(self, shape, tmp_path):
-        rng = np.random.default_rng(5)
-        arr = rng.standard_normal(shape)
-        path = tmp_path / "t.bin"
-        with open(path, "wb") as f:
-            ad.write_tensor(f, arr)
-        with open(path, "rb") as f:
-            back = ad.read_tensor(f)
-        assert back.shape == arr.shape
-        np.testing.assert_array_equal(back, arr)
-
-    def test_layout_is_rank_dims_then_le_floats(self):
-        import io
-        buf = io.BytesIO()
-        ad.write_tensor(buf, np.array([[1.0, 2.0]]))
-        raw = buf.getvalue()
-        assert raw[:8] == (2).to_bytes(8, "little")
-        assert raw[8:16] == (1).to_bytes(8, "little")
-        assert raw[16:24] == (2).to_bytes(8, "little")
-        assert np.frombuffer(raw[24:], dtype="<f8").tolist() == [1.0, 2.0]
-
-    def test_truncated_stream_raises(self):
-        import io
-        buf = io.BytesIO()
-        ad.write_tensor(buf, np.ones(4))
-        with pytest.raises(EOFError):
-            ad.read_tensor(io.BytesIO(buf.getvalue()[:-8]))

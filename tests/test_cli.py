@@ -1,5 +1,7 @@
 import csv
 import dataclasses
+import functools
+import io
 import json
 import math
 import os
@@ -11,12 +13,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import aerotext
 from aerotext import cli, jsonio, metrics, models
 from aerotext.cli import main
-from aerotext.errors import NonfiniteValue
-from aerotext.training import TrainConfig
+from aerotext.errors import AerotextError, NonfiniteValue
+from aerotext.textprep import fit_vocabulary
+from aerotext.training import ModelCheckpoint, TrainConfig, load_checkpoint, save_checkpoint
 
 from conftest import FIXTURE_CSV, METADATA_FAULTS, edit_checkpoint_metadata
 
@@ -218,9 +223,9 @@ class TestTrain:
         real = models.loss_and_grads
 
         def poisoned(*args):
-            loss, grads = real(*args)
-            grads["head.b2"][0] = np.nan
-            return loss, grads
+            loss, table_grad, grad = real(*args)
+            grad[-3] = np.nan   # head.b2, the last tensor
+            return loss, table_grad, grad
 
         monkeypatch.setattr(models, "loss_and_grads", poisoned)
         out = tmp_path / "run"
@@ -545,3 +550,54 @@ def test_console_script_version():
     out = subprocess.run([exe, "--version"], capture_output=True, text=True)
     assert out.returncode == 0
     assert out.stdout.startswith("aerotext ")
+
+
+FUZZ_TEXT = "engine fire on approach, pilot error in the wind"
+
+
+@functools.cache
+def tiny_checkpoint_bytes(arch):
+    config = models.ModelConfig(arch=arch, vocab_size=8, embedding_dim=3, hidden_units=3,
+                                head_units=3, max_len=6, conv_filters=3, conv_kernel=2)
+    vocab = fit_vocabulary(["engine fire on approach", "pilot error wind"], max_size=8)
+    tensors = models.checkpoint_views(config, models.init_params(config, seed=1))
+    buf = io.BytesIO()
+    save_checkpoint(ModelCheckpoint(config, vocab, frozenset({"the"}), "head", tensors, 1), buf)
+    return buf.getvalue()
+
+
+@st.composite
+def edited_checkpoints(draw):
+    """A tiny checkpoint of some architecture with one bit flipped, one byte
+    overwritten, or the file cut at some offset."""
+    blob = bytearray(tiny_checkpoint_bytes(draw(st.sampled_from(models.ARCHITECTURES))))
+    at = draw(st.integers(min_value=0, max_value=len(blob) - 1))
+    edit = draw(st.sampled_from(["flip", "overwrite", "cut"]))
+    if edit == "flip":
+        blob[at] ^= 1 << draw(st.integers(min_value=0, max_value=7))
+    elif edit == "overwrite":
+        blob[at] = draw(st.integers(min_value=0, max_value=255))
+    else:
+        del blob[at:]
+    return bytes(blob)
+
+
+@given(blob=edited_checkpoints())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_edited_checkpoint_bytes_predict_or_fail_with_one_error_line(blob, tmp_path, capsys):
+    # in process: finite probabilities that sum to 1, or the package's own error
+    try:
+        _, probs = metrics.Predictor(load_checkpoint(io.BytesIO(blob))).predict(FUZZ_TEXT)
+    except AerotextError:
+        pass
+    else:
+        assert np.isfinite(probs).all() and abs(probs.sum() - 1.0) < 1e-12, probs
+    path = tmp_path / "edited.atxc"
+    path.write_bytes(blob)
+    code, stdout, err = run(["predict", "--checkpoint", str(path), "--text", FUZZ_TEXT], capsys)
+    if code == 0:
+        assert len(json.loads(stdout)["probs"]) == 3
+    else:
+        assert code == 1 and stdout == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1, err

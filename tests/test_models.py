@@ -21,9 +21,17 @@ from aerotext.models import (
     predict_class,
     recurrent_forward,
 )
-from aerotext.textprep import TokenSequence
+from aerotext.metrics import Predictor
+from aerotext.textprep import TokenSequence, fit_vocabulary
+from aerotext.training import ModelCheckpoint, load_checkpoint, save_checkpoint
 
-from conftest import dense_grads, dense_loss_and_grads, head_params, random_params
+from conftest import (
+    dense_loss_and_grads,
+    gradient_check,
+    head_params,
+    initial_params,
+    random_params,
+)
 from oracles import forward_probs_per_record, lstm_unroll, srnn_unroll
 
 
@@ -308,11 +316,9 @@ class TestLossAndGrads:
         seqs = [TokenSequence(rng.integers(2, 8, n).tolist() + [0] * (6 - n), n) for n in lengths]
         labels = [0, 1, 2, 2, 1, 0, 1]
         masks = (rng.random((len(seqs), config.head_units)) < 0.7) / 0.7
-        loss, grads = models.loss_and_grads(config, params, seqs, labels, masks)
-        grads = dense_grads(grads, params)
-        singles = [models.loss_and_grads(config, params, [s], [y], m[None])
+        loss, grads = dense_loss_and_grads(config, params, seqs, labels, masks)
+        singles = [dense_loss_and_grads(config, params, [s], [y], m[None])
                    for s, y, m in zip(seqs, labels, masks)]
-        singles = [(value, dense_grads(named, params)) for value, named in singles]
         assert list(grads) == list(params)
         assert loss == pytest.approx(np.mean([s[0] for s in singles]), rel=1e-12, abs=0)
         for name, grad in grads.items():
@@ -330,7 +336,7 @@ class TestLossAndGrads:
                  (ModelConfig(arch, vocab_size=40, max_len=24),
                   TokenSequence(list(range(2, 21)) + [0] * 5, 19))]
         for config, seq in cases:
-            params = init_params(config, seed=4)
+            params = initial_params(config, seed=4)
             probs = models.forward_probs(config, params, seq)
             features, _ = encode_features(config, params, [seq])
             np.testing.assert_array_equal(
@@ -361,8 +367,10 @@ class TestPredictClass:
 class TestInit:
     @pytest.mark.parametrize("arch", models.ARCHITECTURES)
     def test_same_seed_bitwise_identical(self, arch):
-        a = init_params(mini_config(arch), seed=11)
-        b = init_params(mini_config(arch), seed=11)
+        config = mini_config(arch)
+        assert init_params(config, seed=11).tobytes() == init_params(config, seed=11).tobytes()
+        a = initial_params(mini_config(arch), seed=11)
+        b = initial_params(mini_config(arch), seed=11)
         assert list(a) == list(b) == [spec.name for spec in models.parameter_table(mini_config(arch))]
         for name in a:
             np.testing.assert_array_equal(a[name], b[name])
@@ -377,7 +385,7 @@ class TestInit:
     @pytest.mark.parametrize("arch", models.ARCHITECTURES)
     def test_glorot_bounds(self, arch):
         config = mini_config(arch)
-        params = init_params(config, seed=3)
+        params = initial_params(config, seed=3)
         h, d = config.hidden_units, config.embedding_dim
         bounds = {
             "embedding.table": 0.05,
@@ -400,13 +408,13 @@ class TestInit:
         gc.disable()
         try:
             config = mini_config(arch)
-            params = init_params(config, seed=0)
-            _, grads = models.loss_and_grads(config, params,
-                                             [TokenSequence([2, 3, 4, 0, 0, 0], 3)], [1])
+            flat = init_params(config, seed=0)
+            params = models.parameter_views(config, flat)
+            _, table_grad, grad = models.loss_and_grads(
+                config, params, [TokenSequence([2, 3, 4, 0, 0, 0], 3)], [1])
             # the embedding gradient is a (rows, values) pair of arrays
-            refs = [weakref.ref(array) for d in (params, grads) for value in d.values()
-                    for array in (value if isinstance(value, tuple) else (value,))]
-            del params, grads
+            refs = [weakref.ref(array) for array in (flat, *params.values(), *table_grad, grad)]
+            del flat, params, table_grad, grad
             assert all(ref() is None for ref in refs)
         finally:
             gc.enable()
@@ -437,25 +445,41 @@ class TestInit:
             assert got[name].tobytes() == array.tobytes(), name
 
     @pytest.mark.parametrize("arch", models.ARCHITECTURES)
-    def test_checkpoint_views_round_trip_without_a_copy(self, arch):
+    def test_checkpoint_views_round_trip_without_a_copy(self, arch, tmp_path):
+        # entry i of the flat vector holds i, so each view's values are its offsets
         config = mini_config(arch)
-        rng = np.random.default_rng(12)
-        tensors = {name: rng.uniform(-1, 1, shape)
-                   for name, shape in models.expected_parameter_shapes(config).items()}
-        params = models.fuse_checkpoint(config, tensors)
-        views = models.checkpoint_views(config, params)
-        assert list(views) == list(tensors)
+        flat = np.arange(float(init_params(config, seed=0).size))
+        params = models.parameter_views(config, flat)
+        tensors = models.checkpoint_views(config, flat)
+        assert list(params) == [spec.name for spec in models.parameter_table(config)]
+        assert list(tensors) == list(models.expected_parameter_shapes(config))
+        for views in (params, tensors):
+            start = 0
+            for name, view in views.items():
+                assert np.shares_memory(view, flat), name
+                assert view.tobytes() == flat[start:start + view.size].tobytes(), name
+                start += view.size
+            assert start == flat.size
         for spec in models.parameter_table(config):
             for name in spec.stored:
-                assert views[name].tobytes() == tensors[name].tobytes(), name
-                assert np.shares_memory(views[name], params[spec.name]), name
-        again = models.fuse_checkpoint(config, views)
+                assert np.shares_memory(tensors[name], params[spec.name]), name
+        again = models.fuse_checkpoint(config, tensors)
         assert list(again) == list(params)
         for name, array in params.items():
             assert again[name].tobytes() == array.tobytes(), name
+        vocab = fit_vocabulary(["engine fire", "pilot error wind"], max_size=config.vocab_size)
+        save_checkpoint(ModelCheckpoint(config, vocab, frozenset(), "head", tensors, 1),
+                        tmp_path / "model.atxc")
+        loaded = load_checkpoint(tmp_path / "model.atxc")
+        for name, view in tensors.items():
+            assert loaded.tensors[name].tobytes() == view.tobytes(), name
+        predictor = Predictor(loaded)
+        assert list(predictor.params) == list(params)
+        for name, view in params.items():
+            assert predictor.params[name].tobytes() == view.tobytes(), name
 
     def test_padding_row_starts_at_zero(self):
-        params = init_params(mini_config("cnn"), seed=2)
+        params = initial_params(mini_config("cnn"), seed=2)
         np.testing.assert_array_equal(params["embedding.table"][0], np.zeros(3))
         assert np.any(params["embedding.table"][1] != 0)
 
@@ -466,7 +490,7 @@ class TestEncodeFeatures:
         if arch == "cnn":
             pytest.skip("padding participates in the convolution by design")
         config = mini_config(arch)
-        params = init_params(config, seed=13)
+        params = initial_params(config, seed=13)
         base, _ = encode_features(config, params, [TokenSequence([2, 3, 4, 0, 0, 0], 3)])
         tampered, _ = encode_features(config, params, [TokenSequence([2, 3, 4, 5, 5, 5], 3)])
         np.testing.assert_array_equal(base, tampered)
@@ -474,7 +498,7 @@ class TestEncodeFeatures:
     @pytest.mark.parametrize("arch", models.ARCHITECTURES)
     def test_feature_size_matches_config(self, arch):
         config = mini_config(arch)
-        params = init_params(config, seed=1)
+        params = initial_params(config, seed=1)
         feats, _ = encode_features(config, params, [TokenSequence([2, 3, 0, 0, 0, 0], 2)] * 2)
         assert feats.shape == (2, config.feature_size)
 
@@ -484,7 +508,7 @@ class TestEncodeFeatures:
         rng = np.random.default_rng(21)
         params = random_params(config, rng)
         seq = TokenSequence([2, 5, 3, 2, 0, 0], 4)
-        assert ad.gradient_check(
+        assert gradient_check(
             lambda: dense_loss_and_grads(config, params, [seq], [1]), params) < 1e-4
 
 
@@ -536,7 +560,8 @@ class TestScore:
     def test_rows_equal_the_per_record_reference(self, case):
         config, params, seqs = case
         probs = models.score(config, params, seqs)
-        tensors = models.checkpoint_views(config, params)
+        tensors = models.checkpoint_views(
+            config, np.concatenate([p.ravel() for p in params.values()]))
         for row, seq in zip(probs, seqs):
             want = forward_probs_per_record(config.arch, tensors, seq.ids, seq.true_length)
             assert np.array_equal(row, want)
@@ -546,23 +571,24 @@ class TestScore:
         # at the default layer sizes a row of a (B, K) @ (K, N) gemm differs
         # from the batch of one for small B
         config = ModelConfig(arch=arch, vocab_size=40, max_len=24)
-        params = init_params(config, seed=2)
+        flat = init_params(config, seed=2)
+        params = models.parameter_views(config, flat)
         rng = np.random.default_rng(2)
         seqs = [TokenSequence(rng.integers(0, 42, 24).tolist(), int(rng.integers(0, 25)))
                 for _ in range(models.SCORE_CHUNK + 6)]
         probs = models.score(config, params, seqs)
-        tensors = models.checkpoint_views(config, params)
+        tensors = models.checkpoint_views(config, flat)
         for row, seq in zip(probs, seqs):
             want = forward_probs_per_record(arch, tensors, seq.ids, seq.true_length)
             assert np.array_equal(row, want)
 
     def test_no_records_give_no_rows(self):
         config = mini_config("lstm")
-        assert models.score(config, init_params(config, seed=0), []).shape == (0, 3)
+        assert models.score(config, initial_params(config, seed=0), []).shape == (0, 3)
 
     @pytest.mark.parametrize("arch", models.ARCHITECTURES)
     def test_out_of_range_id_is_refused(self, arch):
         config = mini_config(arch)
         seqs = [TokenSequence([2, 3, 0, 0, 0, 0], 2), TokenSequence([2, 99, 0, 0, 0, 0], 2)]
         with pytest.raises(IdOutOfRange):
-            models.score(config, init_params(config, seed=0), seqs)
+            models.score(config, initial_params(config, seed=0), seqs)

@@ -34,7 +34,9 @@ from conftest import (
     METADATA_FAULTS,
     dense_loss_and_grads,
     edit_checkpoint_metadata,
+    gradient_check,
     history_from_csv,
+    initial_params,
     random_params,
     synthetic_corpus,
 )
@@ -61,48 +63,54 @@ class TestTrainConfig:
             TrainConfig(**{field: value})
 
 
+# a table no batch reads, for optimizer tests of the flat vector alone
+NO_TABLE = np.zeros((0, 1))
+NO_ROWS = (np.zeros(0, dtype=np.int64), np.zeros((0, 1)))
+
+
 class TestOptimizers:
     def test_sgd_definition(self):
-        params = {"p": np.array(1.0)}
-        Sgd(params, lr=0.1).step({"p": np.array(0.5)})
-        assert float(params["p"]) == pytest.approx(0.95, abs=1e-15)
+        p = np.array([1.0])
+        Sgd(NO_TABLE, p, lr=0.1).step(NO_ROWS, np.array([0.5]))
+        assert float(p[0]) == pytest.approx(0.95, abs=1e-15)
 
     def test_adam_first_step_magnitude_is_lr(self):
         for g in (0.3, -2.0, 1e4):
-            params = {"p": np.array(0.0)}
-            Adam(params, lr=1e-3).step({"p": np.array(g)})
+            p = np.array([0.0])
+            Adam(NO_TABLE, p, lr=1e-3).step(NO_ROWS, np.array([g]))
             # bias-corrected m/sqrt(v) = sign(g); eps keeps it slightly under
-            assert float(params["p"]) == pytest.approx(-1e-3 * np.sign(g), rel=1e-4)
+            assert float(p[0]) == pytest.approx(-1e-3 * np.sign(g), rel=1e-4)
 
     def test_zero_gradient_changes_nothing(self):
-        for opt_cls in (lambda ps: Sgd(ps, 0.1), lambda ps: Adam(ps, 0.1)):
-            params = {"p": np.array([1.0, -2.0])}
-            opt_cls(params).step({"p": np.zeros(2)})
-            np.testing.assert_array_equal(params["p"], [1.0, -2.0])
+        for opt_cls in (Sgd, Adam):
+            table, p = np.array([[0.5], [3.0]]), np.array([1.0, -2.0])
+            opt_cls(table, p, 0.1).step((np.array([1]), np.zeros((1, 1))), np.zeros(2))
+            np.testing.assert_array_equal(p, [1.0, -2.0])
+            np.testing.assert_array_equal(table, [[0.5], [3.0]])
 
     def test_sgd_monotone_on_convex_quadratic(self):
         target = np.array([1.0, -2.0, 0.5])
-        params = {"w": np.zeros(3)}
-        opt = Sgd(params, lr=0.1)
+        w = np.zeros(3)
+        opt = Sgd(NO_TABLE, w, lr=0.1)
         losses = []
         for _ in range(30):
-            d = params["w"] - target
+            d = w - target
             losses.append(float(d @ d))
-            opt.step({"w": 2.0 * d})
+            opt.step(NO_ROWS, 2.0 * d)
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def test_adam_matches_reference_recurrence(self):
         rng = np.random.default_rng(0)
         grads = rng.uniform(-1, 1, 7)
-        params = {"p": np.array(0.7)}
-        opt = Adam(params, lr=0.01)
+        p = np.array([0.7])
+        opt = Adam(NO_TABLE, p, lr=0.01)
         theta, m, v = 0.7, 0.0, 0.0
         for t, g in enumerate(grads, start=1):
-            opt.step({"p": np.array(g)})
+            opt.step(NO_ROWS, np.array([g]))
             m = 0.9 * m + 0.1 * g
             v = 0.999 * v + 0.001 * g * g
             theta -= 0.01 * (m / (1 - 0.9 ** t)) / (math.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
-            assert float(params["p"]) == pytest.approx(theta, abs=1e-15)
+            assert float(p[0]) == pytest.approx(theta, abs=1e-15)
 
 
 def dense_adam_step(p, m, v, g, t, lr):
@@ -116,13 +124,13 @@ def dense_adam_step(p, m, v, g, t, lr):
 
 
 def table_order_moments(adam, name):
-    """Adam's m and v of `name` by table row: a row-form table's moments are
-    packed in first-read order, and its rows never read have zero moments."""
-    if name not in adam.read:
-        return adam.m[name], adam.v[name]
-    read = adam.read[name]
+    """Adam's m and v of `name` by table row: the table's moments are packed
+    in first-read order, and its rows never read have zero moments."""
+    if name != "embedding.table":
+        return adam.m, adam.v
+    read = adam.read
     moments = []
-    for packed in (adam.m[name], adam.v[name]):
+    for packed in (adam.table_m, adam.table_v):
         assert not packed[len(read):].any()
         by_row = np.zeros_like(packed)
         by_row[read] = packed[:len(read)]
@@ -169,15 +177,17 @@ class TestRowFormSteps:
             dense = np.zeros_like(want["embedding.table"])
             np.add.at(dense, ids, d_rows)   # the dense gradient of the earlier backward
             head_grad = rng.uniform(-1.0, 1.0, want["head.w"].shape)
-            optimizer.step({"embedding.table": back(d_rows), "head.w": head_grad})
+            optimizer.step(back(d_rows), head_grad.ravel())
             for name, g in (("embedding.table", dense), ("head.w", head_grad)):
                 m, v = moments[name]
                 reference_step(want[name], m, v, g, t)
                 np.testing.assert_array_equal(params[name], want[name], err_msg=f"{name} {t}")
                 if isinstance(optimizer, Adam):
                     got_m, got_v = table_order_moments(optimizer, name)
-                    np.testing.assert_array_equal(got_m, m, err_msg=f"m {name} {t}")
-                    np.testing.assert_array_equal(got_v, v, err_msg=f"v {name} {t}")
+                    np.testing.assert_array_equal(got_m.reshape(m.shape), m,
+                                                  err_msg=f"m {name} {t}")
+                    np.testing.assert_array_equal(got_v.reshape(v.shape), v,
+                                                  err_msg=f"v {name} {t}")
             shares.append(share)
         return shares
 
@@ -187,34 +197,39 @@ class TestRowFormSteps:
         table[0] = 0.0
         return {"embedding.table": table, "head.w": rng.uniform(-1.0, 1.0, (4, 3))}
 
+    @staticmethod
+    def optimizer_arrays(params):
+        """The table and the flat view of the other tensor, as the optimizers take them."""
+        return params["embedding.table"], params["head.w"].reshape(-1)
+
     def test_adam_matches_the_dense_step_from_few_rows_to_all(self):
         params = self.params()
-        adam = Adam(params, 1e-2)
+        adam = Adam(*self.optimizer_arrays(params), 1e-2)
         shares = self.run(adam, params,
                           lambda p, m, v, g, t: dense_adam_step(p, m, v, g, t, 1e-2))
         # many steps with a small share of the table read, and many with all of it
         assert shares[0] < 0.05 and shares[-1] == 1.0
         assert sum(share < 0.5 for share in shares) >= 10
         assert sum(share == 1.0 for share in shares) >= 8
-        assert sorted(adam.read["embedding.table"]) == list(range(self.N_ROWS))
+        assert sorted(adam.read) == list(range(self.N_ROWS))
 
     def test_sgd_matches_the_dense_step(self):
         params = self.params()
 
         def sgd_step(p, m, v, g, t):
             p -= 0.05 * g
-        self.run(Sgd(params, 0.05), params, sgd_step)
+        self.run(Sgd(*self.optimizer_arrays(params), 0.05), params, sgd_step)
 
     def test_zero_sum_row_is_stepped_like_a_zero_row(self):
         # a row read twice with opposite gradients has gradient +0 and zero
         # moments, so the step leaves it as it is
         table = np.array([[0.5, -0.25], [1.0, 2.0], [0.0, 3.0]])
-        params = {"embedding.table": table.copy()}
+        stepped = table.copy()
         _, back = models.embedding_lookup([1, 1], table)
         rows, values = back(np.array([[0.3, -0.7], [-0.3, 0.7]]))
         np.testing.assert_array_equal(values, [[0.0, 0.0]])
-        Adam(params, 0.1).step({"embedding.table": (rows, values)})
-        assert params["embedding.table"].tobytes() == table.tobytes()
+        Adam(stepped, np.zeros(0), 0.1).step((rows, values), np.zeros(0))
+        assert stepped.tobytes() == table.tobytes()
 
 
 class TestLossGradient:
@@ -227,18 +242,18 @@ class TestLossGradient:
 
     def test_mean_batch_gradient_is_p_minus_onehot_over_batch(self):
         config, params, seqs, labels = self.batch()
-        _, grads = models.loss_and_grads(config, params, seqs, labels)
+        _, _, grad = models.loss_and_grads(config, params, seqs, labels)
         want = np.zeros(3)
         for seq, y in zip(seqs, labels):
             p = models.forward_probs(config, params, seq)
             p[y] -= 1.0
             want += p / 4
         # the batch forward may round differently from single records in BLAS
-        np.testing.assert_allclose(grads["head.b2"], want, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(grad[-3:], want, rtol=0, atol=1e-15)
 
     def test_against_finite_differences(self):
         config, params, seqs, labels = self.batch()
-        assert ad.gradient_check(
+        assert gradient_check(
             lambda: dense_loss_and_grads(config, params, seqs[:3], labels[:3]), params) < 1e-6
 
 
@@ -251,14 +266,16 @@ def tiny_config(arch):
 def test_single_batch_overfit(arch):
     rng = np.random.default_rng(3)
     config = tiny_config(arch)
-    params = models.init_params(config, seed=5)
-    opt = Adam(params, lr=0.01)
+    flat = models.init_params(config, seed=5)
+    params = models.parameter_views(config, flat)
+    table = params["embedding.table"]
+    opt = Adam(table, flat[table.size:], lr=0.01)
     seqs = [TokenSequence([int(rng.integers(2, 10)) for _ in range(8)], 6) for _ in range(6)]
     labels = [c % 3 for c in range(6)]
     loss_value = None
     for _ in range(500):
-        loss_value, grads = models.loss_and_grads(config, params, seqs, labels)
-        opt.step(grads)
+        loss_value, table_grad, grad = models.loss_and_grads(config, params, seqs, labels)
+        opt.step(table_grad, grad)
         if loss_value < 0.01:
             break
     assert loss_value < 0.01
@@ -308,9 +325,9 @@ class TestTrainLoop:
         real_init = models.init_params
 
         def poisoned_init(config, seed):
-            params = real_init(config, seed)
-            params["head.b2"][0] = np.nan
-            return params
+            flat = real_init(config, seed)
+            models.parameter_views(config, flat)["head.b2"][0] = np.nan
+            return flat
 
         monkeypatch.setattr(models, "init_params", poisoned_init)
         with pytest.raises(NonfiniteLoss) as exc:
@@ -318,37 +335,46 @@ class TestTrainLoop:
         assert "epoch 1" in str(exc.value) and "batch" in str(exc.value)
 
     @pytest.mark.parametrize("poison, named", [(("embedding.table",), "embedding.table"),
-                                               (("head.b2", "lstm.b"), "lstm.b")])
+                                               (("head.b2", "lstm.b"), "lstm.b"),
+                                               (("head.b2",), "head.b2")])
     def test_nonfinite_gradient_stops_before_its_step(self, monkeypatch, poison, named):
         # three batches of four: batch 2 is the third call, and the error
-        # names the first poisoned tensor in table order
+        # names the first poisoned tensor in table order; head.b2 is the
+        # last slice of the flat gradient
         model_config, train_config, split, vocab = self.make_inputs(arch="lstm", epochs=1)
-        real = models.loss_and_grads
-        calls = []
+        real_init, real = models.init_params, models.loss_and_grads
+        flats, calls = [], []
+
+        def init(config, seed):
+            flats.append(real_init(config, seed))
+            return flats[-1]
 
         def poisoned(config, params, *args):
-            loss, grads = real(config, params, *args)
-            calls.append((params, {name: p.copy() for name, p in params.items()}))
+            loss, table_grad, grad = real(config, params, *args)
+            calls.append(flats[0].copy())
             if len(calls) == 3:
+                # each tensor's offsets in the flat parameter vector
+                index = models.parameter_views(config, np.arange(flats[0].size))
                 for name in poison:
-                    grad = grads[name]
-                    (grad[1] if isinstance(grad, tuple) else grad).flat[0] = np.inf
-            return loss, grads
+                    if name == "embedding.table":
+                        table_grad[1].flat[0] = np.inf
+                    else:
+                        grad[index[name].flat[0] - index["embedding.table"].size] = np.inf
+            return loss, table_grad, grad
 
+        monkeypatch.setattr(models, "init_params", init)
         monkeypatch.setattr(models, "loss_and_grads", poisoned)
         with pytest.raises(NonfiniteGradient) as exc:
             train(model_config, train_config, split, vocab)
         assert len(calls) == 3
         assert f"gradient of {named} " in str(exc.value)
         assert "epoch 1, batch 2" in str(exc.value)
-        live, after_batch_1 = calls[-1]
-        for name, p in live.items():
-            np.testing.assert_array_equal(p, after_batch_1[name], err_msg=name)
+        assert flats[0].tobytes() == calls[-1].tobytes()
 
     def test_rows_no_record_reads_keep_their_initial_bytes(self):
         model_config, train_config, split, vocab = self.make_inputs(arch="lstm")
         ckpt, _ = train(model_config, train_config, split, vocab)
-        initial = models.init_params(model_config, train_config.seed)["embedding.table"]
+        initial = initial_params(model_config, train_config.seed)["embedding.table"]
         read = set()
         for record in split.train:
             seq = encode_sequence(record.summary, vocab, model_config.max_len, "head")
@@ -387,6 +413,37 @@ class TestTrainLoop:
             if training._improved(candidate, best, "validation_loss"):
                 best = candidate
         assert best.epoch == 2
+
+
+class TestSerialization:
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 4), (2, 3, 2)])
+    def test_round_trip(self, shape, tmp_path):
+        rng = np.random.default_rng(5)
+        arr = rng.standard_normal(shape)
+        path = tmp_path / "t.bin"
+        with open(path, "wb") as f:
+            training.write_tensor(f, arr)
+        with open(path, "rb") as f:
+            back = training.read_tensor(f)
+        assert back.shape == arr.shape
+        np.testing.assert_array_equal(back, arr)
+
+    def test_layout_is_rank_dims_then_le_floats(self):
+        import io
+        buf = io.BytesIO()
+        training.write_tensor(buf, np.array([[1.0, 2.0]]))
+        raw = buf.getvalue()
+        assert raw[:8] == (2).to_bytes(8, "little")
+        assert raw[8:16] == (1).to_bytes(8, "little")
+        assert raw[16:24] == (2).to_bytes(8, "little")
+        assert np.frombuffer(raw[24:], dtype="<f8").tolist() == [1.0, 2.0]
+
+    def test_truncated_stream_raises(self):
+        import io
+        buf = io.BytesIO()
+        training.write_tensor(buf, np.ones(4))
+        with pytest.raises(EOFError):
+            training.read_tensor(io.BytesIO(buf.getvalue()[:-8]))
 
 
 class TestCheckpointIo:
@@ -513,7 +570,7 @@ class TestCheckpointIo:
         assert probs.shape == (3,)
         assert abs(probs.sum() - 1.0) < 1e-12
         np.testing.assert_array_equal(
-            probs, models.forward_probs(ckpt.config, models.init_params(ckpt.config, seed=9), seq))
+            probs, models.forward_probs(ckpt.config, initial_params(ckpt.config, seed=9), seq))
 
 
 class TestHistoryCsv:
