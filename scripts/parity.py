@@ -12,11 +12,16 @@ BLAS thread count:
     with SGD at lr 0.05, dropout 0.3 and --select-best-by validation_loss;
   - `evaluate --split test` and `predict --text` of every checkpoint.
 
+The working tree then also runs `evaluate` and `predict` on REF's
+checkpoints, so a change that moves training's last bits can still show
+that its scoring gives REF's outputs.
+
 Every file the runs write, and the standard output of every command, is
 compared byte for byte, except that a `manifest.json` is compared with its
-path strings removed. Exits 0 when all files match and 1 after listing
-every file that differs or exists on one side only. Takes about two minutes
-on two cores; it is not part of the test suite.
+path strings removed; so are the working tree's scoring outputs of REF's
+checkpoints with REF's own. Exits 0 when all files match and 1 after
+listing every file that differs or exists on one side only. Takes about
+two minutes on two cores; it is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -52,30 +57,51 @@ def write_corpus(into: Path) -> tuple[Path, Path]:
     return gen.write(gen.generate(3), into)
 
 
-def run_tree(tree: Path, work: Path, csv: Path, mapping: Path) -> None:
-    """The CLI sequence of the module docstring with `tree`'s package, every
-    output under `work`, every path relative to it."""
+RUNS = [f"{arch}-{setup}" for arch in ARCHITECTURES for setup in SETUPS]
+
+
+def command_line(tree: Path, work: Path):
+    """cli(stdout, *args): one CLI command of `tree`'s package, run in
+    `work` with its standard output written to the file `stdout` there."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(tree / "src"))
     env.pop("AEROTEXT_SEED", None)
+    work.mkdir(parents=True)
 
     def cli(stdout: str, *args: str) -> None:
         with open(work / stdout, "w") as sink:
             subprocess.run([sys.executable, "-m", "aerotext.cli", *args], cwd=work, env=env,
                            check=True, stdout=sink)
+    return cli
 
-    work.mkdir(parents=True)
+
+def score(cli, run: str, checkpoint: str, data: str) -> None:
+    """`evaluate --split test` and `predict --text` of one checkpoint."""
+    cli(f"{run}.evaluate.out", "evaluate", "--checkpoint", checkpoint,
+        "--data", data, "--split", "test", "--out", f"{run}/evaluate")
+    cli(f"{run}.predict.out", "predict", "--checkpoint", checkpoint, "--text", TEXT)
+
+
+def run_tree(tree: Path, work: Path, csv: Path, mapping: Path) -> None:
+    """The CLI sequence of the module docstring with `tree`'s package, every
+    output under `work`, every path relative to it."""
+    cli = command_line(tree, work)
     cli("prepare.out", "prepare", "--input", str(csv), "--mapping", str(mapping),
         "--seed", "3", "--max-len", "24", "--out", "prepared")
-    for arch in ARCHITECTURES:
-        for setup, options in SETUPS.items():
-            run = f"{arch}-{setup}"
-            print(f"{tree.name}: {run}", file=sys.stderr, flush=True)
-            cli(f"{run}.train.out", "train", "--data", "prepared", "--arch", arch,
-                "--epochs", "2", "--seed", "3", *options, "--out", run)
-            checkpoint = f"{run}/checkpoint.atxc"
-            cli(f"{run}.evaluate.out", "evaluate", "--checkpoint", checkpoint,
-                "--data", "prepared", "--split", "test", "--out", f"{run}/evaluate")
-            cli(f"{run}.predict.out", "predict", "--checkpoint", checkpoint, "--text", TEXT)
+    for run in RUNS:
+        arch, setup = run.split("-")
+        print(f"{tree.name}: {run}", file=sys.stderr, flush=True)
+        cli(f"{run}.train.out", "train", "--data", "prepared", "--arch", arch,
+            "--epochs", "2", "--seed", "3", *SETUPS[setup], "--out", run)
+        score(cli, run, f"{run}/checkpoint.atxc", "prepared")
+
+
+def score_ref(tree: Path, work: Path, ref_work: Path) -> None:
+    """`tree`'s scoring of the checkpoints and prepared data in `ref_work`,
+    under the names `run_tree` gives its own."""
+    cli = command_line(tree, work)
+    for run in RUNS:
+        print(f"{tree.name}: scoring the reference's {run}", file=sys.stderr, flush=True)
+        score(cli, run, str(ref_work / run / "checkpoint.atxc"), str(ref_work / "prepared"))
 
 
 def without_paths(value):
@@ -96,10 +122,12 @@ def same(a: Path, b: Path) -> bool:
     return a.read_bytes() == b.read_bytes()
 
 
-def differing(ref: Path, change: Path) -> list[str]:
-    files = {path.relative_to(root) for root in (ref, change)
-             for path in root.rglob("*") if path.is_file()}
-    return sorted(str(name) for name in files
+def files(root: Path) -> set[Path]:
+    return {path.relative_to(root) for path in root.rglob("*") if path.is_file()}
+
+
+def differing(ref: Path, change: Path, names: set[Path]) -> list[str]:
+    return sorted(str(name) for name in names
                   if not ((ref / name).is_file() and (change / name).is_file()
                           and same(ref / name, change / name)))
 
@@ -114,12 +142,19 @@ def main(argv: list[str]) -> int:
         csv, mapping = write_corpus(tmp / "corpus")
         run_tree(ref_tree, tmp / "out-ref", csv, mapping)
         run_tree(ROOT, tmp / "out-change", csv, mapping)
-        bad = differing(tmp / "out-ref", tmp / "out-change")
-        total = sum(path.is_file() for path in (tmp / "out-change").rglob("*"))
+        score_ref(ROOT, tmp / "out-scored", tmp / "out-ref")
+        names = files(tmp / "out-ref") | files(tmp / "out-change")
+        bad = differing(tmp / "out-ref", tmp / "out-change", names)
+        scored = files(tmp / "out-scored")
+        bad_scored = differing(tmp / "out-ref", tmp / "out-scored", scored)
     for name in bad:
         print(f"differs: {name}")
-    print(f"{total - len(bad)} of {total} files identical to {argv[0]}")
-    return 1 if bad else 0
+    for name in bad_scored:
+        print(f"differs when the working tree scores {argv[0]}'s checkpoints: {name}")
+    print(f"{len(names) - len(bad)} of {len(names)} files identical to {argv[0]}")
+    print(f"{len(scored) - len(bad_scored)} of {len(scored)} scoring outputs of "
+          f"{argv[0]}'s checkpoints identical to {argv[0]}'s own")
+    return 1 if bad or bad_scored else 0
 
 
 if __name__ == "__main__":

@@ -133,18 +133,21 @@ def _write_split_csv(path: Path, records: list[LabeledRecord]) -> None:
 def _read_split_csv(path: Path) -> list[LabeledRecord]:
     records = []
     reader = csv.reader(io.StringIO(read_utf8(path, MalformedCsv), newline=""))
-    next(reader, None)
-    for row in reader:
-        if not row:
-            continue
-        where = f"{path}:{reader.line_num}"
-        if len(row) != 2:
-            raise MalformedCsv(f"{where}: expected 2 fields (label, summary), got {len(row)}")
-        try:
-            label = OperatorClass.from_name(row[0])
-        except ValueError as exc:
-            raise MalformedCsv(f"{where}: {exc}") from None
-        records.append(LabeledRecord(label, row[1]))
+    try:
+        next(reader, None)
+        for row in reader:
+            if not row:
+                continue
+            where = f"{path}:{reader.line_num}"
+            if len(row) != 2:
+                raise MalformedCsv(f"{where}: expected 2 fields (label, summary), got {len(row)}")
+            try:
+                label = OperatorClass.from_name(row[0])
+            except ValueError as exc:
+                raise MalformedCsv(f"{where}: {exc}") from None
+            records.append(LabeledRecord(label, row[1]))
+    except csv.Error as exc:
+        raise MalformedCsv(f"{path}:{reader.line_num}: {exc}") from None
     return records
 
 

@@ -6,7 +6,8 @@ d-vectors, an architecture-specific encoder reduces each record to a
 feature vector, and a ReLU hidden head plus softmax output produces the
 3-class probability vector. Recurrent encoders iterate only over the true
 (pre-padding) length and return the final state; the convolutional
-encoder slides over the whole padded sequence and global-max-pools.
+encoder global-max-pools its windows over the padded sequence, of which it
+computes only those through the last non-padding id and two more.
 
 State updates:
 
@@ -47,8 +48,13 @@ ones). So with train=False each record's input projection is one product
 on that record's rows, the product a batch of one makes, the step and head
 products are row by row (`_rowwise`, one gemv per row), and no state is
 kept. The CNN is k shifted matrix products, a ReLU and a max-pool (Kim,
-arXiv:1408.5882); its products have no row-by-row form, so the scorer runs
-it one record per call.
+arXiv:1408.5882). Every window past a record's last non-padding id reads
+only the padding row and equals the first such window, so each record
+keeps its windows only through that one and one more, and a batch's kept
+windows are packed record after record into one product per filter offset,
+as the recurrent layers pack by length (`_conv_lengths`, `cnn_forward`).
+Its products have no row-by-row form, so the scorer runs it one record per
+call.
 """
 
 from __future__ import annotations
@@ -62,7 +68,7 @@ import numpy as np
 from . import autodiff as ad
 from .corpus import OperatorClass
 from .errors import IdOutOfRange, InvalidConfig, KernelTooLarge, ShapeMismatch
-from .textprep import TokenSequence
+from .textprep import PAD_ID, TokenSequence
 
 ARCHITECTURES = ("cnn", "srnn", "lstm", "blstm")
 NUM_CLASSES = 3
@@ -416,37 +422,50 @@ def blstm_forward(x: np.ndarray, lengths: np.ndarray, params: Mapping[str, np.nd
     return features, back
 
 
-def cnn_forward(x: np.ndarray, filters: np.ndarray, bias: np.ndarray):
-    """Valid 1-d convolution + bias, ReLU, then global max pooling:
-    (B, T, d) -> (B, F).
+def cnn_forward(x: np.ndarray, filters: np.ndarray, bias: np.ndarray,
+                lengths: np.ndarray | None = None):
+    """Valid 1-d convolution + bias, ReLU, then global max pooling over
+    each record: (B, T, d) -> (B, F), or, with `lengths` (B,), over the
+    records laid end to end as the rows of x, (sum(lengths), d) -> (B, F).
 
     `filters` is laid out (k, d, F), so the convolution is k shifted
-    (B*P, d) @ (d, F) products over the P = T - k + 1 positions. Padded
-    tail rows take part with whatever the padding embedding holds. The
-    gradient of each pooled value goes to its first maximum.
+    (M, d) @ (d, F) products, each over a contiguous slice of the M =
+    rows - k + 1 window starts. The k - 1 windows that straddle two records
+    are computed and never pooled. The pooled windows are scattered into a
+    -inf (B, max positions, F) grid, so the max and its first index, where
+    the gradient of each pooled value goes, are those of each record's own
+    windows, NaN included. back(d_out) -> (d_x shaped like x, {name: grad}).
     """
-    batch, t_max, d = x.shape
-    k, _, n_filters = filters.shape
-    if k > t_max:
-        raise KernelTooLarge(f"kernel {k} exceeds sequence length {t_max}")
-    positions = t_max - k + 1
-    windows = [x[:, j:j + positions].reshape(batch * positions, d) for j in range(k)]
-    conv = windows[0] @ filters[0]
+    k, d, n_filters = filters.shape
+    rows = x.reshape(-1, d)
+    if lengths is None:
+        lengths = np.full(x.shape[0], x.shape[1])
+    if k > lengths.min(initial=k):
+        raise KernelTooLarge(f"kernel {k} exceeds sequence length {lengths.min()}")
+    starts = np.cumsum(lengths) - lengths
+    positions = lengths - k + 1
+    record = np.repeat(np.arange(len(lengths)), positions)
+    at = np.arange(len(record)) - np.repeat(np.cumsum(positions) - positions, positions)
+    m = len(rows) - k + 1
+    conv = rows[:m] @ filters[0]
     for j in range(1, k):
-        conv = conv + windows[j] @ filters[j]
-    conv = (conv + bias).reshape(batch, positions, n_filters)
+        conv += rows[j:j + m] @ filters[j]
+    conv += bias
     act = np.maximum(conv, 0.0)
+    grid = np.full((len(lengths), positions.max(initial=0), n_filters), -np.inf)
+    grid[record, at] = act[starts[record] + at]
 
     def back(d_out):
         d_conv = np.zeros_like(conv)
-        np.put_along_axis(d_conv, act.argmax(axis=1)[:, None], d_out[:, None], axis=1)
-        d_conv = (d_conv * (conv > 0)).reshape(batch * positions, n_filters)
-        d_x = np.zeros_like(x)
+        d_conv[starts[:, None] + grid.argmax(axis=1), np.arange(n_filters)] = d_out
+        d_conv *= conv > 0
+        d_x = np.zeros_like(rows)
         for j in range(k):
-            d_x[:, j:j + positions] += (d_conv @ filters[j].T).reshape(batch, positions, d)
-        return d_x, {"cnn.filters": np.stack([window.T @ d_conv for window in windows]),
-                     "cnn.bias": d_conv.sum(axis=0)}
-    return act.max(axis=1), back
+            d_x[j:j + m] += d_conv @ filters[j].T
+        return d_x.reshape(x.shape), {
+            "cnn.filters": np.stack([rows[j:j + m].T @ d_conv for j in range(k)]),
+            "cnn.bias": d_conv.sum(axis=0)}
+    return grid.max(axis=1), back
 
 
 def head_logits(features: np.ndarray, params: Mapping[str, np.ndarray],
@@ -489,6 +508,19 @@ def _true_lengths(seqs: Sequence[TokenSequence]) -> np.ndarray:
     return np.array([min(s.true_length, len(s.ids)) for s in seqs], dtype=np.int64)
 
 
+def _conv_lengths(ids: np.ndarray, kernel: int) -> np.ndarray:
+    """How many leading ids of each padded row (B, T) the convolution reads:
+    through the row's last non-padding id and kernel + 1 more, at most T.
+    Those give the windows that read a token and two that read only padding;
+    every later window reads only padding too and equals them, so the max-pool
+    and its first maximum do not change. Two, not one, keep every product at
+    two rows or more: a one-row product is a gemv, whose bits differ from the
+    rows of a gemm."""
+    read = ids != PAD_ID
+    ends = np.where(read.any(axis=1), ids.shape[1] - read[:, ::-1].argmax(axis=1), 0)
+    return np.minimum(ends + kernel + 1, ids.shape[1])
+
+
 def encode_features(config: ModelConfig, params: Mapping[str, np.ndarray],
                     seqs: Sequence[TokenSequence], train: bool = True):
     """A batch of TokenSequences -> (features (B, feature_size), back),
@@ -496,15 +528,20 @@ def encode_features(config: ModelConfig, params: Mapping[str, np.ndarray],
     form, see `embedding_lookup`) and the encoder.
 
     Recurrent paths embed only the first true_length ids of each row; the
-    CNN embeds the whole padded sequence. `train` is passed on to the
-    recurrent encoders (see `recurrent_forward`); with train=False back is
-    None.
+    CNN embeds each row through its last non-padding id (found from the ids,
+    not from true_length) and kernel + 1 ids more, packed row after row (see
+    `_conv_lengths`). `train` is passed on to the recurrent encoders (see
+    `recurrent_forward`); with train=False back is None.
     """
     table = params["embedding.table"]
     if config.arch == "cnn":
         order = np.arange(len(seqs))
-        x, embedding_back = embedding_lookup([s.ids for s in seqs], table)
-        encoded, encoder_back = cnn_forward(x, params["cnn.filters"], params["cnn.bias"])
+        ids = np.asarray([s.ids for s in seqs], dtype=np.int64)
+        lengths = _conv_lengths(ids, config.conv_kernel)
+        x, embedding_back = embedding_lookup(ids[np.arange(ids.shape[1]) < lengths[:, None]],
+                                             table)
+        encoded, encoder_back = cnn_forward(x, params["cnn.filters"], params["cnn.bias"],
+                                            lengths)
     else:
         lengths = _true_lengths(seqs)
         order = np.argsort(-lengths, kind="stable")

@@ -162,3 +162,32 @@ def forward_probs_per_record(arch: str, params, ids, true_length: int) -> np.nda
     shifted = logits - logits.max()
     e = np.exp(shifted)
     return e / e.sum()
+
+
+def cnn_full_length(x: np.ndarray, filters: np.ndarray, bias: np.ndarray):
+    """The convolution over every window of the padded batch (B, T, d),
+    trailing windows that read only padding included, as the package
+    computed it before it skipped those: k shifted (B*P, d) @ (d, F)
+    products, ReLU, max over the P positions. Returns the pooled (B, F)
+    and back(d_out) -> (d_x, {"cnn.filters", "cnn.bias"}), the gradient
+    of each pooled value going to its first maximum."""
+    batch, t_max, d = x.shape
+    k, _, n_filters = filters.shape
+    positions = t_max - k + 1
+    windows = [x[:, j:j + positions].reshape(batch * positions, d) for j in range(k)]
+    conv = windows[0] @ filters[0]
+    for j in range(1, k):
+        conv = conv + windows[j] @ filters[j]
+    conv = (conv + bias).reshape(batch, positions, n_filters)
+    act = np.maximum(conv, 0.0)
+
+    def back(d_out):
+        d_conv = np.zeros_like(conv)
+        np.put_along_axis(d_conv, act.argmax(axis=1)[:, None], d_out[:, None], axis=1)
+        d_conv = (d_conv * (conv > 0)).reshape(batch * positions, n_filters)
+        d_x = np.zeros_like(x)
+        for j in range(k):
+            d_x[:, j:j + positions] += (d_conv @ filters[j].T).reshape(batch, positions, d)
+        return d_x, {"cnn.filters": np.stack([window.T @ d_conv for window in windows]),
+                     "cnn.bias": d_conv.sum(axis=0)}
+    return act.max(axis=1), back

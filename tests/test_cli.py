@@ -325,8 +325,9 @@ def test_config_error_exits_1_with_one_error_line(tmp_path, capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("row", [b"Civil,engine fire on climb", b"Military",
-                                 b"Military,engine \xff fire"],
-                         ids=["unknown-label", "one-field", "not-utf8"])
+                                 b"Military,engine \xff fire",
+                                 b"Military," + b"x" * (csv.field_size_limit() + 1)],
+                         ids=["unknown-label", "one-field", "not-utf8", "field-over-limit"])
 def test_bad_split_row_exits_1_with_one_error_line(tmp_path, capsys, row):
     prepared = prepare_dir(tmp_path, capsys)
     run_dir, _ = train_dir(tmp_path, capsys, prepared, epochs="1")
@@ -601,3 +602,83 @@ def test_edited_checkpoint_bytes_predict_or_fail_with_one_error_line(blob, tmp_p
     else:
         assert code == 1 and stdout == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1, err
+
+
+@pytest.fixture(scope="module")
+def prepared_files(tmp_path_factory):
+    """The bytes of each file of a prepared directory."""
+    tmp_path = tmp_path_factory.mktemp("prepared")
+    data_csv = write_keyword_csv(tmp_path / "data.csv")
+    out = tmp_path / "prepared"
+    assert main(["prepare", "--input", str(data_csv), "--mapping",
+                 str(write_mapping(tmp_path / "map.tsv")), "--out", str(out),
+                 "--seed", "5", "--max-len", "8"]) == 0
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=5)
+
+
+@st.composite
+def edited_prepared_files(draw, files):
+    """The prepared files with one byte of train.csv, vocab.tsv or
+    stopwords.txt flipped, overwritten, inserted or cut at, or one value of
+    manifest.json's prepare config replaced by a JSON value of a wrong type.
+    Returns the files and whether the edit must be refused."""
+    files = dict(files)
+    name = draw(st.sampled_from(["train.csv", "vocab.tsv", "stopwords.txt", "manifest.json"]))
+    if name == "manifest.json":
+        manifest = json.loads(files[name])
+        key = draw(st.sampled_from(["max_len", "truncate", None]))
+        expected = {"max_len": int, "truncate": str, None: dict}[key]
+        wrong = JSON_VALUES.filter(lambda value: type(value) is not expected)
+        if key is None:
+            manifest["config"] = draw(wrong)
+        else:
+            manifest["config"][key] = draw(wrong)
+        files[name] = json.dumps(manifest).encode("utf-8")
+        return files, True
+    blob = bytearray(files[name])
+    at = draw(st.integers(min_value=0, max_value=len(blob) - 1))
+    edit = draw(st.sampled_from(["flip", "overwrite", "insert", "cut"]))
+    byte = draw(st.integers(min_value=0, max_value=255))
+    if edit == "flip":
+        blob[at] ^= 1 << byte % 8
+    elif edit == "overwrite":
+        blob[at] = byte
+    elif edit == "insert":
+        blob.insert(at, byte)
+    else:
+        del blob[at:]
+    files[name] = bytes(blob)
+    return files, False
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_edited_prepared_directory_trains_or_fails_with_one_error_line(
+        data, prepared_files, tmp_path, capsys):
+    # a byte edit that leaves a well-formed file trains as usual; any other
+    # edit exits 1 with one error line, and no checkpoint or history is written
+    files, refused = data.draw(edited_prepared_files(prepared_files))
+    shutil.rmtree(tmp_path / "prepared", ignore_errors=True)
+    shutil.rmtree(tmp_path / "run", ignore_errors=True)
+    (tmp_path / "prepared").mkdir()
+    for name, blob in files.items():
+        (tmp_path / "prepared" / name).write_bytes(blob)
+    arch = data.draw(st.sampled_from(["srnn", "cnn"]))
+    code, stdout, err = run(["train", "--data", str(tmp_path / "prepared"), "--arch", arch,
+                             "--epochs", "1", "--embedding-dim", "3", "--hidden-units", "3",
+                             "--head-units", "3", "--conv-filters", "3", "--conv-kernel", "2",
+                             "--out", str(tmp_path / "run")], capsys)
+    written = [(tmp_path / "run" / name).exists() for name in ("checkpoint.atxc", "history.csv")]
+    if code == 0 and not refused:
+        assert written == [True, True]
+    else:
+        assert code == 1 and stdout == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1, err
+        assert written == [False, False]

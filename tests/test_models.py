@@ -27,12 +27,13 @@ from aerotext.training import ModelCheckpoint, load_checkpoint, save_checkpoint
 
 from conftest import (
     dense_loss_and_grads,
+    dense_table,
     gradient_check,
     head_params,
     initial_params,
     random_params,
 )
-from oracles import forward_probs_per_record, lstm_unroll, srnn_unroll
+from oracles import cnn_full_length, forward_probs_per_record, lstm_unroll, srnn_unroll
 
 
 def head_probs(features, head):
@@ -275,6 +276,104 @@ class TestCnn:
                 conv = np.einsum("kd,kdf->f", window, filters) + bias
                 naive = np.maximum(naive, np.maximum(conv, 0.0))
             np.testing.assert_allclose(got, naive, atol=1e-12, rtol=0)
+
+    def test_nan_window_pools_to_nan_and_back_does_not_fail(self):
+        # a NaN among a record's windows is its maximum, as np.max has it;
+        # the other record's pooled values and gradients stay finite
+        rng = np.random.default_rng(4)
+        x = rng.uniform(-1, 1, (2, 6, 3))
+        x[0, 2, 1] = np.nan
+        out, back = cnn_forward(x, rng.uniform(-1, 1, (2, 3, 4)), rng.uniform(-1, 1, 4))
+        assert np.isnan(out[0]).all() and np.isfinite(out[1]).all()
+        d_x, grads = back(np.ones((2, 4)))
+        assert np.isfinite(d_x[1]).all()
+        assert grads["cnn.filters"].shape == (2, 3, 4)
+
+
+def full_length_encoder(params, seqs):
+    """The CNN encoder over every window of the padded records
+    (`oracles.cnn_full_length`); back(d_features) -> its gradients, the
+    embedding table's dense."""
+    ids = np.array([s.ids for s in seqs], dtype=np.int64)
+    table = params["embedding.table"]
+    features, conv_back = cnn_full_length(table[ids], params["cnn.filters"], params["cnn.bias"])
+
+    def back(d_features):
+        d_x, grads = conv_back(d_features)
+        grads["embedding.table"] = np.zeros_like(table)
+        np.add.at(grads["embedding.table"], ids, d_x)
+        return grads
+    return features, back
+
+
+def cnn_records(max_len, lengths, rng, vocab_size=40):
+    """Records of the given lengths with random ids, padding among them."""
+    return [TokenSequence(rng.integers(0, vocab_size + 2, n).tolist() + [0] * (max_len - n), n)
+            for n in lengths]
+
+
+class TestCnnWindows:
+    # the convolution reads each record only through its last non-padding
+    # id and two windows more; at the default sizes every feature is the
+    # full-length convolution's bit for bit, and every gradient within 1e-12
+    CASES = {
+        "mixed": (24, 5, [0, 3, 24, 11, 19, 1, 7, 24, 15]),
+        "all-padding": (24, 5, [0, 0, 6]),
+        "last-id-at-max-len": (24, 5, [24, 24, 2]),
+        "kernel-is-max-len": (24, 24, [0, 24, 5, 13]),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("alone", [True, False], ids=["alone", "batch"])
+    def test_equals_the_full_length_convolution(self, case, alone):
+        max_len, kernel, lengths = self.CASES[case]
+        config = ModelConfig(arch="cnn", vocab_size=40, max_len=max_len, conv_kernel=kernel)
+        params = initial_params(config, seed=3)
+        rng = np.random.default_rng(3)
+        seqs = cnn_records(max_len, lengths, rng)
+        if case == "last-id-at-max-len":
+            for seq in seqs:
+                seq.ids[-1] = 7
+        for batch in ([[seq] for seq in seqs] if alone else [seqs]):
+            features, back = encode_features(config, params, batch)
+            want, want_back = full_length_encoder(params, batch)
+            assert features.tobytes() == want.tobytes()
+            d_features = rng.uniform(-1, 1, features.shape)
+            grads, wants = back(d_features), want_back(d_features)
+            rows, values = grads.pop("embedding.table")
+            assert rows.tolist() == np.unique([s.ids for s in batch]).tolist()
+            grads["embedding.table"] = dense_table((rows, values), wants["embedding.table"].shape)
+            for name, array in wants.items():
+                scale = np.abs(array).max()
+                assert np.abs(grads[name] - array).max() <= 1e-12 * scale, name
+
+    def test_trailing_padding_changes_no_bit(self):
+        # records that leave kernel + 1 padding ids at max_len T are read the
+        # same at 4T: the same features, loss and gradients to the bit
+        rng = np.random.default_rng(5)
+        lengths = [0, 18, 4, 11, 18, 1, 9, 15]
+        labels = rng.integers(0, 3, len(lengths)).tolist()
+        outputs = []
+        for max_len in (24, 96):
+            config = ModelConfig(arch="cnn", vocab_size=40, max_len=max_len)
+            params = initial_params(config, seed=4)
+            seqs = cnn_records(max_len, lengths, np.random.default_rng(6))
+            features, _ = encode_features(config, params, seqs)
+            loss, (rows, values), grad = models.loss_and_grads(config, params, seqs, labels)
+            outputs.append([features.tobytes(), loss, rows.tobytes(), values.tobytes(),
+                            grad.tobytes(), models.score(config, params, seqs).tobytes()])
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("bad", [42, 99, -1])
+    def test_out_of_range_id_in_the_last_position_is_refused(self, bad):
+        # past the record's true length, but not padding: the convolution reads it
+        config = ModelConfig(arch="cnn", vocab_size=40, max_len=24)
+        params = initial_params(config, seed=0)
+        seqs = [TokenSequence([2, 3] + [0] * 22, 2), TokenSequence([2, 3] + [0] * 21 + [bad], 2)]
+        with pytest.raises(IdOutOfRange):
+            encode_features(config, params, seqs)
+        with pytest.raises(IdOutOfRange):
+            models.score(config, params, seqs)
 
 
 class TestHead:

@@ -334,6 +334,22 @@ class TestTrainLoop:
             train(model_config, train_config, split, vocab)
         assert "epoch 1" in str(exc.value) and "batch" in str(exc.value)
 
+    @pytest.mark.parametrize("name", ["cnn.filters", "cnn.bias", "embedding.table"])
+    def test_nan_cnn_parameter_aborts_with_nonfinite_loss(self, monkeypatch, name):
+        # the max-pool of NaN windows and its backward run to the loss check
+        model_config, train_config, split, vocab = self.make_inputs(arch="cnn")
+        real_init = models.init_params
+
+        def poisoned_init(config, seed):
+            flat = real_init(config, seed)
+            models.parameter_views(config, flat)[name][...] = np.nan
+            return flat
+
+        monkeypatch.setattr(models, "init_params", poisoned_init)
+        with pytest.raises(NonfiniteLoss) as exc:
+            train(model_config, train_config, split, vocab)
+        assert "epoch 1, batch 0" in str(exc.value)
+
     @pytest.mark.parametrize("poison, named", [(("embedding.table",), "embedding.table"),
                                                (("head.b2", "lstm.b"), "lstm.b"),
                                                (("head.b2",), "head.b2")])
