@@ -406,11 +406,9 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except AerotextError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (AerotextError, OSError, MemoryError) as exc:
+        # a MemoryError, such as the padding of a huge max_len, may have no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

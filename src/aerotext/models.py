@@ -422,11 +422,10 @@ def blstm_forward(x: np.ndarray, lengths: np.ndarray, params: Mapping[str, np.nd
     return features, back
 
 
-def cnn_forward(x: np.ndarray, filters: np.ndarray, bias: np.ndarray,
-                lengths: np.ndarray | None = None):
+def cnn_forward(x: np.ndarray, filters: np.ndarray, bias: np.ndarray, lengths: np.ndarray):
     """Valid 1-d convolution + bias, ReLU, then global max pooling over
-    each record: (B, T, d) -> (B, F), or, with `lengths` (B,), over the
-    records laid end to end as the rows of x, (sum(lengths), d) -> (B, F).
+    each record, the records laid end to end as the rows of x:
+    (sum(lengths), d) with `lengths` (B,) -> (B, F).
 
     `filters` is laid out (k, d, F), so the convolution is k shifted
     (M, d) @ (d, F) products, each over a contiguous slice of the M =
@@ -436,20 +435,17 @@ def cnn_forward(x: np.ndarray, filters: np.ndarray, bias: np.ndarray,
     the gradient of each pooled value goes, are those of each record's own
     windows, NaN included. back(d_out) -> (d_x shaped like x, {name: grad}).
     """
-    k, d, n_filters = filters.shape
-    rows = x.reshape(-1, d)
-    if lengths is None:
-        lengths = np.full(x.shape[0], x.shape[1])
+    k, _, n_filters = filters.shape
     if k > lengths.min(initial=k):
         raise KernelTooLarge(f"kernel {k} exceeds sequence length {lengths.min()}")
     starts = np.cumsum(lengths) - lengths
     positions = lengths - k + 1
     record = np.repeat(np.arange(len(lengths)), positions)
     at = np.arange(len(record)) - np.repeat(np.cumsum(positions) - positions, positions)
-    m = len(rows) - k + 1
-    conv = rows[:m] @ filters[0]
+    m = len(x) - k + 1
+    conv = x[:m] @ filters[0]
     for j in range(1, k):
-        conv += rows[j:j + m] @ filters[j]
+        conv += x[j:j + m] @ filters[j]
     conv += bias
     act = np.maximum(conv, 0.0)
     grid = np.full((len(lengths), positions.max(initial=0), n_filters), -np.inf)
@@ -459,11 +455,11 @@ def cnn_forward(x: np.ndarray, filters: np.ndarray, bias: np.ndarray,
         d_conv = np.zeros_like(conv)
         d_conv[starts[:, None] + grid.argmax(axis=1), np.arange(n_filters)] = d_out
         d_conv *= conv > 0
-        d_x = np.zeros_like(rows)
+        d_x = np.zeros_like(x)
         for j in range(k):
             d_x[j:j + m] += d_conv @ filters[j].T
-        return d_x.reshape(x.shape), {
-            "cnn.filters": np.stack([rows[j:j + m].T @ d_conv for j in range(k)]),
+        return d_x, {
+            "cnn.filters": np.stack([x[j:j + m].T @ d_conv for j in range(k)]),
             "cnn.bias": d_conv.sum(axis=0)}
     return grid.max(axis=1), back
 

@@ -41,20 +41,20 @@ def cleanse_text(raw: str, stopwords: frozenset[str] | set[str] = frozenset()) -
     return " ".join(t for t in tokens if t not in stopwords)
 
 
+def _parse_stopwords(text: str) -> frozenset[str]:
+    """One stopword per line, stripped and lowercased; blank lines skipped."""
+    return frozenset(word for line in text.splitlines() if (word := line.strip().lower()))
+
+
 def load_stopwords(path: str | Path) -> frozenset[str]:
-    """Read a newline-delimited UTF-8 stopword file (lowercased entries)."""
-    words = set()
-    for line in read_utf8(path, InvalidConfig).splitlines():
-        word = line.strip().lower()
-        if word:
-            words.add(word)
-    return frozenset(words)
+    """Read a newline-delimited UTF-8 stopword file."""
+    return _parse_stopwords(read_utf8(path, InvalidConfig))
 
 
 def default_stopwords() -> frozenset[str]:
     """The stopword list shipped with the package (~150 common English words)."""
-    text = resources.files("aerotext").joinpath("data/stopwords.txt").read_text("utf-8")
-    return frozenset(w.strip().lower() for w in text.splitlines() if w.strip())
+    return _parse_stopwords(
+        resources.files("aerotext").joinpath("data/stopwords.txt").read_text("utf-8"))
 
 
 @dataclass
@@ -89,14 +89,16 @@ class Vocabulary:
 
     @classmethod
     def from_tsv(cls, text: str, max_size: int | None = None) -> "Vocabulary":
-        """Parse `token<TAB>id` lines. Raises ValueError unless the ids are
-        unique integers in [2, max_size + 1]; max_size defaults to the
-        number of tokens."""
+        """Parse `token<TAB>id` lines. Raises ValueError unless the tokens
+        are unique and the ids unique integers in [2, max_size + 1];
+        max_size defaults to the number of tokens."""
         mapping = {}
         for number, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
             token, _, i = line.partition("\t")
+            if token in mapping:
+                raise ValueError(f"line {number}: token {token!r} repeats")
             try:
                 mapping[token] = int(i)
             except ValueError:

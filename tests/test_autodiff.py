@@ -130,11 +130,11 @@ class TestBackward:
 
     def test_cnn_backward_matches_finite_differences(self):
         rng = np.random.default_rng(3)
-        inputs = {"x": rng.uniform(-1, 1, (3, 6, 2)), "cnn.filters": rng.uniform(-1, 1, (3, 2, 4)),
-                  "cnn.bias": rng.uniform(-1, 1, 4)}
+        inputs = {"x": rng.uniform(-1, 1, (3, 6, 2)).reshape(-1, 2),
+                  "cnn.filters": rng.uniform(-1, 1, (3, 2, 4)), "cnn.bias": rng.uniform(-1, 1, 4)}
 
         def forward(p):
-            out, backward = cnn_forward(p["x"], p["cnn.filters"], p["cnn.bias"])
+            out, backward = cnn_forward(p["x"], p["cnn.filters"], p["cnn.bias"], np.full(3, 6))
 
             def grads(d):
                 d_x, named = backward(d)
@@ -205,10 +205,11 @@ class TestBackward:
 
     def test_max_routes_gradient_to_first_maximum(self):
         x = np.array([[[1.0], [3.0], [3.0]]])
-        out, backward = cnn_forward(x, np.ones((1, 1, 1)), np.zeros(1))
+        out, backward = cnn_forward(x.reshape(-1, 1), np.ones((1, 1, 1)), np.zeros(1),
+                                    np.full(1, 3))
         assert out.tolist() == [[3.0]]
         d_x, grads = backward(np.ones((1, 1)))
-        np.testing.assert_array_equal(d_x, [[[0.0], [1.0], [0.0]]])
+        np.testing.assert_array_equal(d_x.reshape(x.shape), [[[0.0], [1.0], [0.0]]])
         np.testing.assert_array_equal(grads["cnn.filters"], [[[3.0]]])
 
     def test_softmax_cross_entropy_gradient_is_p_minus_onehot(self):

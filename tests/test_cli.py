@@ -354,6 +354,12 @@ def _repeat_id(text):
     return "\n".join(lines) + "\n"
 
 
+def _repeat_token(text):
+    # the first token once more, before it, with the second line's id: the
+    # ids kept by the last occurrence of each token are still unique and in range
+    return text.split("\t", 1)[0] + "\t3\n" + text
+
+
 def _drop_key(*path):
     def edit(text):
         manifest = json.loads(text)
@@ -377,9 +383,10 @@ def _drop_key(*path):
     ("manifest.json", lambda text: b"[" * 100_000),
     ("vocab.tsv", lambda text: b"\xff" + text.encode("utf-8")),
     ("stopwords.txt", lambda text: b"\xff" + text.encode("utf-8")),
+    ("vocab.tsv", _repeat_token),
 ], ids=["repeated-id", "non-integer-id", "invalid-json", "no-config", "no-max-len",
         "no-truncate", "bad-truncate", "string-max-len", "deep-nesting", "vocab-not-utf8",
-        "stopwords-not-utf8"])
+        "stopwords-not-utf8", "repeated-token"])
 def test_bad_prepared_file_exits_1_with_one_error_line(tmp_path, capsys, name, edit):
     # an edit returns the new text, or the raw bytes of the file
     prepared = prepare_dir(tmp_path, capsys)
@@ -394,6 +401,30 @@ def test_bad_prepared_file_exits_1_with_one_error_line(tmp_path, capsys, name, e
     assert err.startswith("error:") and len(err.splitlines()) == 1, err
     assert str(path) in err
     assert not out.exists()
+
+
+def test_huge_max_len_exits_1_with_one_error_line(tmp_path, capsys):
+    # CPython refuses a padding list of 2**62 ids with a MemoryError before
+    # allocating it: for a prepared directory and for a checkpoint
+    prepared = prepare_dir(tmp_path, capsys)
+    manifest_path = prepared / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest["config"]["max_len"] = 2**62
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    out = tmp_path / "run"
+    code, stdout, err = run(["train", "--data", str(prepared), "--arch", "srnn",
+                             "--epochs", "1", "--out", str(out)], capsys)
+    assert code == 1 and stdout == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1, err
+    assert not (out / "checkpoint.atxc").exists() and not (out / "history.csv").exists()
+
+    checkpoint = tmp_path / "huge.atxc"
+    checkpoint.write_bytes(edit_checkpoint_metadata(tiny_checkpoint_bytes("srnn"),
+                                                    lambda meta: dict(meta, max_len=2**62)))
+    code, stdout, err = run(["predict", "--checkpoint", str(checkpoint), "--text", FUZZ_TEXT],
+                            capsys)
+    assert code == 1 and stdout == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1, err
 
 
 class TestEvaluate:

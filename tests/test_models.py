@@ -240,7 +240,7 @@ class TestBlstm:
 class TestCnn:
     def test_zero_filters_zero_output(self):
         x = np.random.default_rng(0).uniform(-1, 1, (1, 5, 3))
-        out, _ = cnn_forward(x, np.zeros((2, 3, 4)), np.zeros(4))
+        out, _ = cnn_forward(x.reshape(-1, 3), np.zeros((2, 3, 4)), np.zeros(4), np.full(1, 5))
         np.testing.assert_array_equal(out, np.zeros((1, 4)))
 
     def test_indicator_filter_is_channel_max(self):
@@ -249,18 +249,19 @@ class TestCnn:
         j = 2
         filters = np.zeros((1, 3, 1))
         filters[0, j, 0] = 1.0
-        out, _ = cnn_forward(seq[None], filters, np.zeros(1))
+        out, _ = cnn_forward(seq, filters, np.zeros(1), np.full(1, 6))
         assert float(out[0, 0]) == pytest.approx(np.max(np.maximum(seq[:, j], 0.0)), abs=0)
 
     def test_huge_negative_bias_clamps_to_zero(self):
         rng = np.random.default_rng(2)
-        out, _ = cnn_forward(rng.uniform(-1, 1, (1, 5, 3)), rng.uniform(-1, 1, (2, 3, 4)),
-                             np.full(4, -1e6))
+        out, _ = cnn_forward(rng.uniform(-1, 1, (1, 5, 3)).reshape(-1, 3),
+                             rng.uniform(-1, 1, (2, 3, 4)), np.full(4, -1e6), np.full(1, 5))
         np.testing.assert_array_equal(out, np.zeros((1, 4)))
 
     def test_kernel_too_large(self):
         with pytest.raises(KernelTooLarge):
-            cnn_forward(np.zeros((1, 3, 2)), np.zeros((4, 2, 1)), np.zeros(1))
+            cnn_forward(np.zeros((1, 3, 2)).reshape(-1, 2), np.zeros((4, 2, 1)), np.zeros(1),
+                        np.full(1, 3))
 
     def test_matches_naive_convolution(self):
         rng = np.random.default_rng(3)
@@ -268,7 +269,7 @@ class TestCnn:
         batch = rng.uniform(-1, 1, (2, t, d))
         filters = rng.uniform(-1, 1, (k, d, f))
         bias = rng.uniform(-1, 1, f)
-        out, _ = cnn_forward(batch, filters, bias)
+        out, _ = cnn_forward(batch.reshape(-1, d), filters, bias, np.full(2, t))
         for seq, got in zip(batch, out):
             naive = np.full(f, -np.inf)
             for pos in range(t - k + 1):
@@ -283,10 +284,11 @@ class TestCnn:
         rng = np.random.default_rng(4)
         x = rng.uniform(-1, 1, (2, 6, 3))
         x[0, 2, 1] = np.nan
-        out, back = cnn_forward(x, rng.uniform(-1, 1, (2, 3, 4)), rng.uniform(-1, 1, 4))
+        out, back = cnn_forward(x.reshape(-1, 3), rng.uniform(-1, 1, (2, 3, 4)),
+                                rng.uniform(-1, 1, 4), np.full(2, 6))
         assert np.isnan(out[0]).all() and np.isfinite(out[1]).all()
         d_x, grads = back(np.ones((2, 4)))
-        assert np.isfinite(d_x[1]).all()
+        assert np.isfinite(d_x.reshape(x.shape)[1]).all()
         assert grads["cnn.filters"].shape == (2, 3, 4)
 
 

@@ -100,6 +100,11 @@ class TestVocabulary:
         loaded = Vocabulary.load(path)
         assert loaded.token_to_id == vocab.token_to_id
 
+    def test_repeated_token_is_refused(self):
+        # its ids are unique and in range; keeping the last would drop id 2
+        with pytest.raises(ValueError, match="line 2: token 'a' repeats"):
+            Vocabulary.from_tsv("a\t2\na\t3\nb\t4\n", max_size=3)
+
 
 class TestEncode:
     def test_padding_with_zeros(self):

@@ -439,8 +439,8 @@ class TestSerialization:
         path = tmp_path / "t.bin"
         with open(path, "wb") as f:
             training.write_tensor(f, arr)
-        with open(path, "rb") as f:
-            back = training.read_tensor(f)
+        back, end = training.read_tensor(path.read_bytes(), 0)
+        assert end == path.stat().st_size
         assert back.shape == arr.shape
         np.testing.assert_array_equal(back, arr)
 
@@ -459,7 +459,39 @@ class TestSerialization:
         buf = io.BytesIO()
         training.write_tensor(buf, np.ones(4))
         with pytest.raises(EOFError):
-            training.read_tensor(io.BytesIO(buf.getvalue()[:-8]))
+            training.read_tensor(buf.getvalue()[:-8], 0)
+
+
+GARBLED_LENGTHS = ["metadata-length", "tensor-rank", "tensor-count"]
+
+
+class ReadSizes(io.BytesIO):
+    """A stream that records the size asked of each read()."""
+
+    def __init__(self, blob):
+        super().__init__(blob)
+        self.sizes = []
+
+    @property
+    def largest(self):
+        return max(self.sizes, default=0)
+
+    def read(self, n=-1):
+        self.sizes.append(n)
+        return super().read(n)
+
+
+class Unseekable(ReadSizes):
+    """A stream that can only be read forward, as a pipe is."""
+
+    def seekable(self):
+        return False
+
+    def seek(self, *args):
+        raise io.UnsupportedOperation("seek")
+
+    def tell(self):
+        raise io.UnsupportedOperation("tell")
 
 
 class TestCheckpointIo:
@@ -500,35 +532,45 @@ class TestCheckpointIo:
             with pytest.raises(CorruptCheckpoint):
                 load_checkpoint(io.BytesIO(buf.getvalue()[:cut]))
 
-    @pytest.mark.parametrize("field", ["metadata-length", "tensor-rank", "tensor-count"])
-    def test_length_past_the_end_is_refused_before_it_is_read(self, field):
+    def garbled_length(self, field):
         ckpt = self.make_checkpoint()
         ckpt.tensors = {"a": np.zeros((2, 2))}  # the file ends in name, rank 2, dims, 4 values
         buf = io.BytesIO()
         save_checkpoint(ckpt, buf)
         blob = buf.getvalue()
         if field == "metadata-length":
-            blob = blob[:8] + struct.pack("<Q", 2**40) + blob[16:]
-        elif field == "tensor-rank":
-            blob = blob[:-56] + struct.pack("<Q", 2**40)
-        else:
-            blob = blob[:-48] + struct.pack("<2Q", 2**20, 2**20)
+            return blob[:8] + struct.pack("<Q", 2**40) + blob[16:]
+        if field == "tensor-rank":
+            return blob[:-56] + struct.pack("<Q", 2**40)
+        return blob[:-48] + struct.pack("<2Q", 2**20, 2**20)
 
-        class ReadSizes(io.BytesIO):
-            largest = 0
-
-            def read(self, n=-1):
-                self.largest = max(self.largest, n)
-                return super().read(n)
-
+    @pytest.mark.parametrize("field", GARBLED_LENGTHS)
+    def test_length_past_the_end_is_refused_before_it_is_read(self, field):
+        blob = self.garbled_length(field)
         source = ReadSizes(blob)
         with pytest.raises(CorruptCheckpoint):
             load_checkpoint(source)
         assert source.largest <= len(blob)
+        assert len(source.sizes) == 2 and source.sizes[0] == 4  # the magic, then the rest
+
+    @pytest.mark.parametrize("field", GARBLED_LENGTHS)
+    def test_length_past_the_end_of_an_unseekable_stream_is_refused(self, field):
+        blob = self.garbled_length(field)
+        source = Unseekable(blob)
+        with pytest.raises(CorruptCheckpoint):
+            load_checkpoint(source)
+        assert source.largest <= len(blob)
+        assert len(source.sizes) == 2 and source.sizes[0] == 4  # the magic, then the rest
 
     def test_bad_magic(self):
         with pytest.raises(CorruptCheckpoint):
             load_checkpoint(io.BytesIO(b"NOPE" + b"\x00" * 64))
+
+    def test_bad_magic_is_refused_after_four_bytes(self):
+        source = ReadSizes(b"NOPE" + b"\x00" * (1 << 20))
+        with pytest.raises(CorruptCheckpoint, match="bad magic"):
+            load_checkpoint(source)
+        assert source.sizes == [4]
 
     def test_unsupported_version(self):
         ckpt = self.make_checkpoint()
@@ -541,7 +583,7 @@ class TestCheckpointIo:
 
     @pytest.mark.parametrize("fault", ["shape", "missing", "extra", "duplicate-id",
                                        "padding-id", "id-past-table", "non-integer-id",
-                                       "nan", *METADATA_FAULTS])
+                                       "nan", *METADATA_FAULTS, "repeated-token"])
     @pytest.mark.parametrize("arch", models.ARCHITECTURES)
     def test_shape_mismatch_is_corrupt(self, arch, fault):
         ckpt = self.make_checkpoint(arch)
@@ -562,6 +604,10 @@ class TestCheckpointIo:
             ckpt.vocab.token_to_id = {"engine": "2.5"}
         elif fault == "nan":
             ckpt.tensors["head.b2"][0] = np.nan
+        elif fault == "repeated-token":
+            # the repeat's id is unique and in range: only the token repeats
+            tsv = ckpt.vocab.to_tsv() + f"engine\t{max(ids.values()) + 1}\n"
+            ckpt.vocab.to_tsv = lambda: tsv
         if fault in ("shape", "missing", "extra"):
             with pytest.raises(ShapeMismatch):
                 models.check_parameter_shapes(ckpt.config, ckpt.tensors)
