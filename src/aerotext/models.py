@@ -27,15 +27,17 @@ arXiv:1604.01946); only the checkpoint keeps one tensor per gate, its
 consecutive row blocks (`checkpoint_views`, `fuse_checkpoint`). Each
 layer function returns its output and a closure, `back`, that maps the
 gradient of that output to the gradients of the layer's input and
-parameters. `loss_and_grads` chains the layers over a training batch. The
+parameters. `loss_and_grads` chains the layers over a training batch; its
+loss, like that of training's scoring pass, is `cross_entropy`. The
 embedding table's gradient is in row form, `(rows, values)`: the distinct
 ids the batch read and one gradient row each, every other row being zero.
 A batch reads a few hundred of the table's ~10k rows, so the backward never
 builds the dense table, and the optimizers skip the rows no batch has read.
-There is one forward: `score` runs the same `encode_features` with
-train=False over any number of records and gives each record bit-for-bit
-the probabilities it gets when scored alone; `forward_probs` is `score` on
-one record.
+There is one forward and one flag: `encode_features`, the encoders and
+`head_logits` take `train`, and with train=False back is None. `score` runs
+them so over any number of records and gives each record bit-for-bit the
+probabilities it gets when scored alone; `forward_probs` is `score` on one
+record.
 
 Recurrent layers are length-packed: the batch is sorted longest first and
 laid out step-major, so step t touches only the rows still running.
@@ -65,7 +67,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .corpus import OperatorClass
 from .errors import IdOutOfRange, InvalidConfig, KernelTooLarge, ShapeMismatch
 from .textprep import PAD_ID, TokenSequence
@@ -465,14 +466,15 @@ def cnn_forward(x: np.ndarray, filters: np.ndarray, bias: np.ndarray, lengths: n
 
 
 def head_logits(features: np.ndarray, params: Mapping[str, np.ndarray],
-                masks: np.ndarray | None = None, product=_gemm):
+                masks: np.ndarray | None = None, train: bool = True):
     """relu(features @ W1.T + b1) @ W2.T + b2 -> (B, 3); `masks` (B,
-    head_units) applies (inverted) dropout to the hidden layer, and
-    `product` computes both matrix products. `back` returns
-    (d_features, {name: grad})."""
+    head_units) applies (inverted) dropout to the hidden layer. `back`
+    returns (d_features, {name: grad}). With train=False both products are
+    `_rowwise`, so a row does not depend on its batch, and back is None."""
     w1, b1, w2, b2 = (params[f"head.{name}"] for name in ("w1", "b1", "w2", "b2"))
     if features.shape[1:] != (w1.shape[1],):
         raise ShapeMismatch(f"head expects features {(w1.shape[1],)}, got {features.shape[1:]}")
+    product = _gemm if train else _rowwise
     pre = product(features, w1) + b1
     hidden = np.maximum(pre, 0.0)
     if masks is not None:
@@ -485,7 +487,21 @@ def head_logits(features: np.ndarray, params: Mapping[str, np.ndarray],
         d_pre = d_pre * (pre > 0)
         return d_pre @ w1, {"head.w1": d_pre.T @ features, "head.b1": d_pre.sum(axis=0),
                             "head.w2": d_logits.T @ hidden, "head.b2": d_logits.sum(axis=0)}
-    return product(hidden, w2) + b2, back
+    return product(hidden, w2) + b2, back if train else None
+
+
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Probabilities along the last axis, max-subtracted for stability."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def cross_entropy(probs: np.ndarray, labels: Sequence[int]) -> float:
+    """The mean of -ln(p[label]) over the rows of `probs`, p clamped at 1e-12
+    so a fully wrong prediction costs a large finite loss, not infinity; by
+    math.log and a left-to-right sum, as np.log and np.sum may round apart."""
+    return sum(-math.log(max(float(p[int(label)]), 1e-12))
+               for p, label in zip(probs, labels)) / len(labels)
 
 
 def predict_class(probs) -> OperatorClass:
@@ -574,14 +590,13 @@ def loss_and_grads(config: ModelConfig, params: Mapping[str, np.ndarray],
     pass through the cross-entropy clamp."""
     features, encoder_back = encode_features(config, params, seqs)
     logits, head_back = head_logits(features, params, masks)
-    probs = ad.softmax(logits)
+    probs = softmax(logits)
     batch = len(seqs)
-    loss = sum(ad.cross_entropy(p, label) for p, label in zip(probs, labels)) / batch
     d_logits = probs.copy()
     d_logits[np.arange(batch), labels] -= 1.0
     d_features, grads = head_back((1.0 / batch) * d_logits)
     grads |= encoder_back(d_features)
-    return loss, grads.pop("embedding.table"), np.concatenate(
+    return cross_entropy(probs, labels), grads.pop("embedding.table"), np.concatenate(
         [grads[spec.name].ravel() for spec in parameter_table(config)[1:]])
 
 
@@ -595,9 +610,9 @@ def score(config: ModelConfig, params: Mapping[str, np.ndarray],
 
     Each row is bit-for-bit the training forward of its record on a batch of
     one, whatever batch the record comes in: the records are sorted longest
-    first and go through `encode_features` with train=False SCORE_CHUNK at a
-    time (the CNN, whose products have no row-by-row form, one at a time),
-    and the head uses `_rowwise`.
+    first and go through `encode_features` and `head_logits` with train=False
+    SCORE_CHUNK at a time (the CNN, whose products have no row-by-row form,
+    one at a time).
     """
     lengths = _true_lengths(seqs)
     order = np.argsort(-lengths, kind="stable")
@@ -606,8 +621,8 @@ def score(config: ModelConfig, params: Mapping[str, np.ndarray],
     for start in range(0, len(seqs), chunk_size):
         chunk = order[start:start + chunk_size]
         features, _ = encode_features(config, params, [seqs[i] for i in chunk], train=False)
-        logits, _ = head_logits(features, params, product=_rowwise)
-        probs[chunk] = ad.softmax(logits)
+        logits, _ = head_logits(features, params, train=False)
+        probs[chunk] = softmax(logits)
     return probs
 
 

@@ -18,7 +18,6 @@ from typing import BinaryIO, Mapping, Sequence
 
 import numpy as np
 
-from . import autodiff as ad
 from . import jsonio, models
 from .corpus import LabeledRecord, SplitDataset
 from .errors import (
@@ -234,7 +233,8 @@ def save_checkpoint(ckpt: ModelCheckpoint, sink: str | Path | BinaryIO) -> None:
 def load_checkpoint(source: str | Path | BinaryIO) -> ModelCheckpoint:
     """Load a checkpoint from a path or any binary stream. It reads the magic,
     then the rest in one read, and parses every field from those bytes, each
-    length checked against the bytes left before a field of that size is read."""
+    length checked against the bytes left before a field of that size is read.
+    The last tensor must end the file: trailing bytes are refused."""
     if isinstance(source, (str, Path)):
         # unbuffered: after read(4), a buffered reader's read() joins its
         # read-ahead to the rest, one more copy of the file (half the load time)
@@ -259,6 +259,8 @@ def load_checkpoint(source: str | Path | BinaryIO) -> ModelCheckpoint:
     except (EOFError, UnicodeDecodeError, json.JSONDecodeError, struct.error,
             OverflowError, MemoryError, RecursionError, ValueError) as exc:
         raise CorruptCheckpoint(f"truncated or garbled checkpoint: {exc}") from None
+    if at != len(buf):
+        raise CorruptCheckpoint(f"{len(buf) - at} bytes after the last tensor")
 
     if not isinstance(meta, dict):
         raise CorruptCheckpoint(f"metadata is a JSON {type(meta).__name__}, not an object")
@@ -299,10 +301,8 @@ def _dataset_metrics(config: ModelConfig, params: Mapping[str, np.ndarray],
                      sequences: Sequence[TokenSequence],
                      labels: Sequence[int]) -> tuple[float, float]:
     probs = models.score(config, params, sequences)
-    total_loss = sum(ad.cross_entropy(p, label) for p, label in zip(probs, labels))
     correct = int(np.count_nonzero(np.argmax(probs, axis=1) == np.asarray(labels)))
-    n = len(sequences)
-    return total_loss / n, correct / n
+    return models.cross_entropy(probs, labels), correct / len(sequences)
 
 
 def _improved(candidate: EpochRecord, best: EpochRecord | None, by: str) -> bool:

@@ -601,34 +601,40 @@ def tiny_checkpoint_bytes(arch):
 @st.composite
 def edited_checkpoints(draw):
     """A tiny checkpoint of some architecture with one bit flipped, one byte
-    overwritten, or the file cut at some offset."""
+    overwritten, the file cut at some offset, or bytes appended after its
+    last tensor. Returns the bytes and whether the edit must be refused."""
     blob = bytearray(tiny_checkpoint_bytes(draw(st.sampled_from(models.ARCHITECTURES))))
     at = draw(st.integers(min_value=0, max_value=len(blob) - 1))
-    edit = draw(st.sampled_from(["flip", "overwrite", "cut"]))
+    edit = draw(st.sampled_from(["flip", "overwrite", "cut", "append"]))
     if edit == "flip":
         blob[at] ^= 1 << draw(st.integers(min_value=0, max_value=7))
     elif edit == "overwrite":
         blob[at] = draw(st.integers(min_value=0, max_value=255))
-    else:
+    elif edit == "cut":
         del blob[at:]
-    return bytes(blob)
+    else:
+        blob += draw(st.binary(min_size=1, max_size=70))
+    return bytes(blob), edit in ("cut", "append")
 
 
-@given(blob=edited_checkpoints())
+@given(edited=edited_checkpoints())
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_edited_checkpoint_bytes_predict_or_fail_with_one_error_line(blob, tmp_path, capsys):
+def test_edited_checkpoint_bytes_predict_or_fail_with_one_error_line(edited, tmp_path, capsys):
     # in process: finite probabilities that sum to 1, or the package's own error
+    blob, refused = edited
     try:
         _, probs = metrics.Predictor(load_checkpoint(io.BytesIO(blob))).predict(FUZZ_TEXT)
     except AerotextError:
         pass
     else:
+        assert not refused
         assert np.isfinite(probs).all() and abs(probs.sum() - 1.0) < 1e-12, probs
     path = tmp_path / "edited.atxc"
     path.write_bytes(blob)
     code, stdout, err = run(["predict", "--checkpoint", str(path), "--text", FUZZ_TEXT], capsys)
     if code == 0:
+        assert not refused
         assert len(json.loads(stdout)["probs"]) == 3
     else:
         assert code == 1 and stdout == ""

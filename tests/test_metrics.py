@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from aerotext import autodiff as ad
 from aerotext import models, training
 from aerotext.corpus import LabeledRecord, OperatorClass
 from aerotext.errors import EmptyInput, EmptyMatrix, LengthMismatch
@@ -208,8 +207,7 @@ def test_scoring_pass_agrees_with_predictor_and_evaluate(arch):
     labels = [int(r.label) for r in records]
     predictor = Predictor(ckpt)
     loss, accuracy = training._dataset_metrics(ckpt.config, predictor.params, seqs, labels)
-    assert loss == sum(ad.cross_entropy(predictor.probs(r.summary), int(r.label))
-                       for r in records) / len(records)
+    assert loss == models.cross_entropy([predictor.probs(r.summary) for r in records], labels)
     assert accuracy == evaluate_model(ckpt, records)[1].accuracy
 
 

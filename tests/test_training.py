@@ -5,7 +5,6 @@ import struct
 import numpy as np
 import pytest
 
-from aerotext import autodiff as ad
 from aerotext import models, training
 from aerotext.corpus import LabeledRecord, OperatorClass, SplitDataset
 from aerotext.errors import (
@@ -44,14 +43,14 @@ from conftest import (
 
 class TestCrossEntropy:
     def test_uniform_is_ln3(self):
-        assert ad.cross_entropy(np.array([1 / 3, 1 / 3, 1 / 3]), 1) == pytest.approx(
+        assert models.cross_entropy(np.array([[1 / 3, 1 / 3, 1 / 3]]), [1]) == pytest.approx(
             1.0986122886681098, abs=1e-15)
 
     def test_confident_correct_is_zero(self):
-        assert ad.cross_entropy(np.array([0.0, 1.0, 0.0]), 1) == 0.0
+        assert models.cross_entropy(np.array([[0.0, 1.0, 0.0]]), [1]) == 0.0
 
     def test_zero_probability_clamps(self):
-        assert ad.cross_entropy(np.array([1.0, 0.0, 0.0]), 2) == pytest.approx(
+        assert models.cross_entropy(np.array([[1.0, 0.0, 0.0]]), [2]) == pytest.approx(
             27.631021115928547, abs=1e-12)
 
 
@@ -414,6 +413,26 @@ class TestTrainLoop:
                                 PoisonList(split.test), 0)
         train(model_config, train_config, poisoned, vocab)  # must not raise
 
+    @pytest.mark.parametrize("by", training.BEST_BY)
+    def test_checkpoint_holds_the_best_epochs_weights(self, by):
+        # the best epoch here is 1 of 4: the checkpoint must hold the weights
+        # that epoch ended with, not the last epoch's under its number
+        split = synthetic_corpus()
+        vocab = fit_vocabulary([r.summary for r in split.train], max_size=50)
+        model_config = ModelConfig(arch="srnn", vocab_size=vocab.size, embedding_dim=4,
+                                   hidden_units=4, head_units=4, max_len=8)
+
+        def run(epochs):
+            return train(model_config, TrainConfig(learning_rate=0.5, batch_size=4, epochs=epochs,
+                                                   optimizer="sgd", seed=0, select_best_by=by),
+                         split, vocab)[0]
+        ckpt = run(4)
+        assert ckpt.epoch < 4
+        stopped = run(ckpt.epoch)
+        assert stopped.epoch == ckpt.epoch
+        for name, tensor in stopped.tensors.items():
+            assert ckpt.tensors[name].tobytes() == tensor.tobytes(), name
+
     def test_best_epoch_prefers_earliest_tie(self):
         rec = lambda e, acc, loss: EpochRecord(e, 0.5, 0.5, loss, acc)
         best = None
@@ -458,8 +477,9 @@ class TestSerialization:
         import io
         buf = io.BytesIO()
         training.write_tensor(buf, np.ones(4))
-        with pytest.raises(EOFError):
-            training.read_tensor(buf.getvalue()[:-8], 0)
+        for cut in (8, 1):
+            with pytest.raises(EOFError):
+                training.read_tensor(buf.getvalue()[:-cut], 0)
 
 
 GARBLED_LENGTHS = ["metadata-length", "tensor-rank", "tensor-count"]
