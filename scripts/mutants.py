@@ -91,6 +91,20 @@ MUTANTS = [
            "records scored 7 at a time",
            equivalent="every scored row is its record's batch-of-one row whatever the chunk; "
                       "the chunk size only bounds the memory of one chunk"),
+    Mutant("cleanse-no-regex-fallback", "src/aerotext/textprep.py",
+           "if text.isascii():", "if True:",
+           "non-ASCII text cleansed by the ASCII table alone, so its punctuation stays"),
+    Mutant("cleanse-regex-always", "src/aerotext/textprep.py",
+           "if text.isascii():", "if False:",
+           "ASCII text cleansed by the regex, not the table",
+           equivalent="the regex is the rule itself; the table only computes it faster"),
+    Mutant("cleanse-underscore-kept", "src/aerotext/textprep.py",
+           "c if c.isalnum() else", "c if c.isalnum() or c == \"_\" else",
+           "an underscore left inside an ASCII token"),
+    Mutant("vocabulary-ties-reversed", "src/aerotext/textprep.py",
+           "sorted(counts.items(), key=lambda kv: -kv[1])",
+           "sorted(reversed(counts.items()), key=lambda kv: -kv[1])",
+           "a frequency tie goes to the token seen last"),
     Mutant("true-length-from-kept", "src/aerotext/textprep.py",
            "TokenSequence(ids, min(len(tokens), max_len))", "TokenSequence(ids, len(kept))",
            "the true length taken from the kept tokens",

@@ -1,11 +1,13 @@
 """Narrative text preparation: cleansing, vocabulary, encoding, statistics.
 
 Cleansed text is lowercase with punctuation and special characters
-replaced by spaces and stopwords removed. A vocabulary fitted on the
-training split maps tokens to integer ids, with 0 reserved for padding
-and 1 for out-of-vocabulary tokens; sequences are padded/truncated to a
-fixed length. Word-count statistics feed the length-distribution plot
-data.
+replaced by spaces and stopwords removed. A special character is one that
+is not `str.isalnum()`, the regex class `[\\W_]`; ASCII text is cleansed
+through a translate table, which gives the same tokens as that regex. A
+vocabulary fitted on the training split maps tokens to integer ids, with
+0 reserved for padding and 1 for out-of-vocabulary tokens; sequences are
+padded/truncated to a fixed length. Word-count statistics feed the
+length-distribution plot data.
 """
 
 from __future__ import annotations
@@ -28,17 +30,29 @@ DEFAULT_VOCAB_SIZE = 20000
 TRUNCATE = ("head", "tail")  # the side of a long sequence that is kept
 
 # \w is isalnum() plus underscore, so [\W_] is exactly the characters
-# outside letters/digits/whitespace (whitespace collapses in the split).
+# that are not isalnum() (whitespace among them collapses in the split).
 _NON_WORD = re.compile(r"[\W_]+", re.UNICODE)
+# The same rule on ASCII as one translate table. Every entry is set, the
+# letters and digits to themselves, because a character missing from the
+# table is a failed lookup, which is slower than a hit.
+_ASCII_NON_WORD = str.maketrans({c: c if c.isalnum() else " " for c in map(chr, range(128))})
 
 
 def cleanse_text(raw: str, stopwords: frozenset[str] | set[str] = frozenset()) -> str:
     """Lowercase, strip punctuation/special characters, drop stopwords.
 
-    Idempotent on its own output; may return the empty string.
+    Lowercased ASCII text goes through a translate table, which gives the
+    tokens of the `[\\W_]` regex; text that holds a non-ASCII character goes
+    through the regex itself, since `str.translate` on it looks up each
+    character one at a time. Idempotent on its own output; may return the
+    empty string.
     """
-    tokens = _NON_WORD.sub(" ", raw.lower()).split()
-    return " ".join(t for t in tokens if t not in stopwords)
+    text = raw.lower()
+    if text.isascii():
+        text = text.translate(_ASCII_NON_WORD)
+    else:
+        text = _NON_WORD.sub(" ", text)
+    return " ".join([t for t in text.split() if t not in stopwords])
 
 
 def _parse_stopwords(text: str) -> frozenset[str]:
@@ -148,7 +162,8 @@ def encode_sequence(text: str, vocab: Vocabulary, max_len: int = DEFAULT_MAX_LEN
         raise ValueError(f"truncate must be one of {TRUNCATE}, got {truncate!r}")
     tokens = text.split()
     kept = tokens[:max_len] if truncate == "head" else tokens[-max_len:]
-    ids = [vocab.id_for(t) for t in kept]
+    get = vocab.token_to_id.get
+    ids = [get(t, OOV_ID) for t in kept]
     ids.extend([PAD_ID] * (max_len - len(ids)))
     return TokenSequence(ids, min(len(tokens), max_len))
 

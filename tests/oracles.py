@@ -8,6 +8,7 @@ share no code paths.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -74,6 +75,14 @@ def nearest_rank(values, percentile: float) -> float:
     ordered = sorted(values)
     rank = math.ceil(percentile / 100.0 * len(ordered))
     return float(ordered[max(rank, 1) - 1])
+
+
+def cleanse_reference(raw: str, stopwords=frozenset()) -> str:
+    """The cleansing rule as one regex: every run of characters that are
+    not letters or digits (underscore included) becomes a space, then the
+    lowercased tokens that are not stopwords are joined with spaces."""
+    tokens = re.sub(r"[\W_]+", " ", raw.lower()).split()
+    return " ".join(t for t in tokens if t not in stopwords)
 
 
 def operator_class_by_scan(entries, operator: str):

@@ -16,7 +16,7 @@ from aerotext.textprep import (
     word_count_stats,
 )
 
-from oracles import nearest_rank
+from oracles import cleanse_reference, nearest_rank
 
 
 class TestCleanse:
@@ -35,6 +35,31 @@ class TestCleanse:
 
     def test_non_ascii_letters_kept_and_lowercased(self):
         assert cleanse_text("CafÉ MÜNCHEN!", set()) == "café münchen"
+
+    def test_non_ascii_punctuation_stripped(self):
+        assert cleanse_text("naïve…end — «ok»", set()) == "naïve end ok"
+
+    @given(st.text(max_size=200),
+           st.sets(st.text("abé_", min_size=1, max_size=2), max_size=5))
+    @settings(max_examples=300)
+    def test_matches_the_regex_reference(self, raw, stopwords):
+        assert cleanse_text(raw, stopwords) == cleanse_reference(raw, stopwords)
+
+    def test_every_ascii_character_matches_the_regex_reference(self):
+        for code in range(128):
+            raw = f"a{chr(code)}b {chr(code)} {chr(code) * 3}"
+            assert cleanse_text(raw) == cleanse_reference(raw), hex(code)
+
+    def test_every_code_point_matches_the_regex_reference(self):
+        # Each code point on its own, surrogates included, so that each
+        # takes its own path: one whose lowercase is ASCII (U+212A KELVIN
+        # SIGN lowers to "k") goes through the table, any other through
+        # the regex.
+        chunk = 0x10000
+        for start in range(0, 0x110000, chunk):
+            texts = [chr(code) for code in range(start, start + chunk)]
+            assert ([cleanse_text(t) for t in texts]
+                    == [cleanse_reference(t) for t in texts]), hex(start)
 
     @given(st.text(max_size=200))
     @settings(max_examples=200)
