@@ -14,7 +14,7 @@ change no behaviour. Those are marked equivalent, with the reason. The
 script prints one line per mutant and exits 0 when every mutant not marked
 equivalent is killed and every marked one survives, and 1 otherwise; 2 when
 the unmutated suite fails. Not part of the test suite: each survivor costs a
-whole suite run (about 15 s on two cores), and each kill up to as much.
+whole suite run (about 40 s on two cores), and each kill up to as much.
 """
 
 from __future__ import annotations
@@ -75,8 +75,23 @@ MUTANTS = [
            "f1 = 2 * precision * recall / (precision + recall + 1e-12) if",
            "an epsilon in F1's denominator"),
     Mutant("lstm-backward-drops-forget-gate", "src/aerotext/models.py",
-           "dc[:n] = dc_t * f", "dc[:n] = dc_t",
+           "\n                dc[:n] *= f", "",
            "the LSTM backward passes the cell gradient on without the forget gate"),
+    Mutant("step-weight-for-one-row", "src/aerotext/models.py",
+           "w_h_t if n > 1 else w_h.T", "w_h_t if n > 0 else w_h.T",
+           "a one-row training step product against the contiguous w_h copy, not the "
+           "scorer's gemv, so a batch of one no longer trains as it scores"),
+    Mutant("cell-state-saved-after-forget", "src/aerotext/models.py",
+           "            if train:\n                c_in[s:e] = c[:n]\n            c[:n] *= f\n",
+           "            c[:n] *= f\n            if train:\n                c_in[s:e] = c[:n]\n",
+           "the backward reads the cell state after the in-place forget product"),
+    Mutant("sigmoid-derivative-drops-one-minus", "src/aerotext/models.py",
+           "np.subtract(1.0, act[:, :3 * hidden], out=dz[:, :3 * hidden])",
+           "dz[:, :3 * hidden] = 1.0",
+           "the f, i, o block's s(1 - s) loses its (1 - s) factor"),
+    Mutant("srnn-state-before-tanh", "src/aerotext/models.py",
+           "h[:n] = np.tanh(a, out=a)", "h[:n] = a\n            np.tanh(a, out=a)",
+           "the sRNN's next state copied from the activations before their tanh"),
     Mutant("kernel-too-large-off-by-one", "src/aerotext/models.py",
            "if k > lengths.min(initial=k):", "if k > lengths.min(initial=k) + 1:",
            "a kernel one longer than a record is not refused as KernelTooLarge"),

@@ -10,6 +10,10 @@ BLAS thread count:
   - `prepare` of the `bench/gen.py` seed-3 corpus at --max-len 24;
   - `train` for 2 epochs, every architecture, with Adam at the defaults and
     with SGD at lr 0.05, dropout 0.3 and --select-best-by validation_loss;
+  - `prepare` of the same corpus at the default --max-len and one epoch of
+    the LSTM on it: at --max-len 24 many records are cut to the same
+    length, so few recurrent steps run with a few rows, and a change to
+    the products of such steps could go unseen;
   - `evaluate --split test` and `predict --text` of every checkpoint.
 
 The working tree then also runs `evaluate` and `predict` on REF's
@@ -21,7 +25,7 @@ compared byte for byte, except that a `manifest.json` is compared with its
 path strings removed; so are the working tree's scoring outputs of REF's
 checkpoints with REF's own. Exits 0 when all files match and 1 after
 listing every file that differs or exists on one side only. Takes about
-two minutes on two cores; it is not part of the test suite.
+four minutes on two cores; it is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -57,7 +61,11 @@ def write_corpus(into: Path) -> tuple[Path, Path]:
     return gen.write(gen.generate(3), into)
 
 
-RUNS = [f"{arch}-{setup}" for arch in ARCHITECTURES for setup in SETUPS]
+PREPARED = {"prepared": ["--max-len", "24"], "prepared-default": []}
+# run name -> (prepared directory, train options)
+RUNS = {f"{arch}-{setup}": ("prepared", ["--arch", arch, "--epochs", "2", *SETUPS[setup]])
+        for arch in ARCHITECTURES for setup in SETUPS}
+RUNS["lstm-default"] = ("prepared-default", ["--arch", "lstm", "--epochs", "1"])
 
 
 def command_line(tree: Path, work: Path):
@@ -85,23 +93,23 @@ def run_tree(tree: Path, work: Path, csv: Path, mapping: Path) -> None:
     """The CLI sequence of the module docstring with `tree`'s package, every
     output under `work`, every path relative to it."""
     cli = command_line(tree, work)
-    cli("prepare.out", "prepare", "--input", str(csv), "--mapping", str(mapping),
-        "--seed", "3", "--max-len", "24", "--out", "prepared")
-    for run in RUNS:
-        arch, setup = run.split("-")
+    for prepared, options in PREPARED.items():
+        cli(f"{prepared}.out", "prepare", "--input", str(csv), "--mapping", str(mapping),
+            "--seed", "3", *options, "--out", prepared)
+    for run, (prepared, options) in RUNS.items():
         print(f"{tree.name}: {run}", file=sys.stderr, flush=True)
-        cli(f"{run}.train.out", "train", "--data", "prepared", "--arch", arch,
-            "--epochs", "2", "--seed", "3", *SETUPS[setup], "--out", run)
-        score(cli, run, f"{run}/checkpoint.atxc", "prepared")
+        cli(f"{run}.train.out", "train", "--data", prepared, *options, "--seed", "3",
+            "--out", run)
+        score(cli, run, f"{run}/checkpoint.atxc", prepared)
 
 
 def score_ref(tree: Path, work: Path, ref_work: Path) -> None:
     """`tree`'s scoring of the checkpoints and prepared data in `ref_work`,
     under the names `run_tree` gives its own."""
     cli = command_line(tree, work)
-    for run in RUNS:
+    for run, (prepared, _) in RUNS.items():
         print(f"{tree.name}: scoring the reference's {run}", file=sys.stderr, flush=True)
-        score(cli, run, str(ref_work / run / "checkpoint.atxc"), str(ref_work / "prepared"))
+        score(cli, run, str(ref_work / run / "checkpoint.atxc"), str(ref_work / prepared))
 
 
 def without_paths(value):

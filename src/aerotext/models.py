@@ -49,7 +49,16 @@ backward reads. Scoring cannot use those products: a row of a (B, K) @
 ones). So with train=False each record's input projection is one product
 on that record's rows, the product a batch of one makes, the step and head
 products are row by row (`_rowwise`, one gemv per row), and no state is
-kept. The CNN is k shifted matrix products, a ReLU and a max-pool (Kim,
+kept. No recurrent step allocates: each call makes its scratch arrays once
+and every elementwise result is written into them or into the state, in the
+formulas' order of operations; the backward takes the factors that do not
+depend on the incoming gradient for all steps at once. A training step product of two or more rows
+is taken against one contiguous copy of w_hᵀ, made once per call, since
+OpenBLAS takes a slow path for a few rows times the strided view; a
+one-row product stays the scorer's gemv on the view. So training's last
+bits differ from revisions before that copy, and scoring's do not.
+
+The CNN is k shifted matrix products, a ReLU and a max-pool (Kim,
 arXiv:1408.5882). Every window past a record's last non-padding id reads
 only the padding row and equals the first such window, so each record
 keeps its windows only through that one and one more, and a batch's kept
@@ -251,17 +260,22 @@ def init_params(config: ModelConfig, seed: int) -> np.ndarray:
 
 # --- layers: each returns (output, back) --------------------------------------
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-x)), taken as exp(x) / (1 + exp(x)) below zero so that
-    exp cannot overflow; in place on one temporary, which halves its time
-    on a chunk of rows."""
-    e = np.abs(x)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    out = np.where(x >= 0, 1.0, e)
-    e += 1.0
-    out /= e
-    return out
+def _sigmoid(x: np.ndarray, exp: np.ndarray | None = None,
+             positive: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-x)) in place on x, taken as exp(x) / (1 + exp(x)) below
+    zero so that exp cannot overflow. `exp` and `positive` are float and
+    bool scratch of x's shape, made here if not given. The numerator
+    np.maximum(exp(-|x|), x >= 0) is 1 from zero up and exp(-|x|) below, NaN
+    included: np.where's pick at about half its time."""
+    if exp is None:
+        exp, positive = np.empty_like(x), np.empty(x.shape, dtype=bool)
+    np.greater_equal(x, 0.0, out=positive)
+    np.negative(np.abs(x, out=exp), out=exp)
+    np.exp(exp, out=exp)
+    np.maximum(exp, positive, out=x)
+    exp += 1.0
+    x /= exp
+    return x
 
 
 def _gates(act: np.ndarray, hidden: int) -> list[np.ndarray]:
@@ -326,8 +340,15 @@ def recurrent_forward(x: np.ndarray, lengths: np.ndarray, params: Mapping[str, n
     non-increasing true lengths. Returns the final hidden state of each row,
     a zero vector for a row of length 0, and back(d_final) ->
     (d_x, {name: grad}). With train=False each record's input projection is
-    one product on its own rows and each step product is `_rowwise`, so a
-    row does not depend on its batch; no state is kept and back is None.
+    one product on its own rows and each step product is one gemv per row,
+    as in `_rowwise`, so a row does not depend on its batch; no state is
+    kept and back is None.
+
+    No step allocates: the loops and the backward write every elementwise
+    result into the state or into scratch made once per call, in the
+    formulas' order of operations. A training step product of two or more
+    rows reads one contiguous copy of w_hᵀ; a one-row product stays the
+    scorer's gemv on the view, so a batch of one trains as it scores.
     """
     w, b = params[f"{prefix}.w"], params[f"{prefix}.b"]
     hidden = w.shape[1] - x.shape[1]
@@ -338,7 +359,7 @@ def recurrent_forward(x: np.ndarray, lengths: np.ndarray, params: Mapping[str, n
     if train:
         # every step's input projection at once; the steps turn it into the activations
         act = x @ w_x.T + b
-        product = _gemm
+        w_h_t = np.ascontiguousarray(w_h.T)  # read by step products of two or more rows
         # per packed row, for the backward: the state and the cell state the
         # row read, and tanh of its new cell state
         h_in, c_in, tanh_c = (np.empty((len(x), hidden)) for _ in range(3))
@@ -347,51 +368,77 @@ def recurrent_forward(x: np.ndarray, lengths: np.ndarray, params: Mapping[str, n
         for row, n in enumerate(lengths.tolist()):
             own = starts[:n] + row
             act[own] = x[own] @ w_x.T + b
-        product = _rowwise
     starts = starts.tolist()
     spans = list(zip(starts[:-1], starts[1:]))
     h = np.zeros((batch, hidden))
     c = np.zeros_like(h)
+    product = np.empty((batch, w.shape[0]))
+    # the sigmoid's exp(-|x|) and sign, and i * g or the scorer's tanh(c)
+    exp, positive = np.empty((batch, 3 * hidden)), np.empty((batch, 3 * hidden), dtype=bool)
+    scratch = np.empty_like(h)
     for s, e in spans:
         n = e - s
         a = act[s:e]
-        if train:
+        if not train:
+            np.matmul(h[:n, None], w_h.T, out=product[:n, None])
+        else:
             h_in[s:e] = h[:n]
-        a += product(h[:n], w_h)
+            np.matmul(h[:n], w_h_t if n > 1 else w_h.T, out=product[:n])
+        a += product[:n]
         if lstm:
-            a[:, :3 * hidden] = _sigmoid(a[:, :3 * hidden])
+            _sigmoid(a[:, :3 * hidden], exp[:n], positive[:n])
             f, i, o, g = _gates(a, hidden)
             np.tanh(g, out=g)
             if train:
                 c_in[s:e] = c[:n]
-            c[:n] = f * c[:n] + i * g
-            tanh_new = np.tanh(c[:n])
-            if train:
-                tanh_c[s:e] = tanh_new
-            h[:n] = o * tanh_new
+            c[:n] *= f
+            c[:n] += np.multiply(i, g, out=scratch[:n])
+            tanh_new = np.tanh(c[:n], out=tanh_c[s:e] if train else scratch[:n])
+            np.multiply(o, tanh_new, out=h[:n])
         else:
             h[:n] = np.tanh(a, out=a)
     if not train:
         return h, None
 
     def back(d_final):
+        # dz starts as the factors that do not depend on the incoming gradient,
+        # for every packed row at once: 1 - s of the sigmoid gates and 1 - g²,
+        # or 1 - h² for the sRNN; each step multiplies its rows in
         dz = np.empty_like(act)
         dh = np.array(d_final, dtype=np.float64)   # rows finishing at step t start here
-        dc = np.zeros_like(dh)
+        if lstm:
+            np.subtract(1.0, act[:, :3 * hidden], out=dz[:, :3 * hidden])
+            g, d_g = act[:, 3 * hidden:], dz[:, 3 * hidden:]
+            np.subtract(1.0, np.multiply(g, g, out=d_g), out=d_g)
+            d_tanh = np.multiply(tanh_c, tanh_c)
+            np.subtract(1.0, d_tanh, out=d_tanh)
+            dc = np.zeros_like(dh)
+            v = np.empty_like(dh)
+            block = np.empty((batch, 3 * hidden))
+        else:
+            np.subtract(1.0, np.multiply(act, act, out=dz), out=dz)
         for s, e in reversed(spans):
             n = e - s
             if lstm:
                 f, i, o, g = _gates(act[s:e], hidden)
-                d_f, d_i, d_o, d_g = _gates(dz[s:e], hidden)
-                dc_t = dc[:n] + dh[:n] * o * (1.0 - tanh_c[s:e] * tanh_c[s:e])
-                d_f[:] = dc_t * c_in[s:e] * f * (1.0 - f)
-                d_i[:] = dc_t * g * i * (1.0 - i)
-                d_o[:] = dh[:n] * tanh_c[s:e] * o * (1.0 - o)
-                d_g[:] = dc_t * i * (1.0 - g * g)
-                dc[:n] = dc_t * f
+                # dc_t = dc + dh * o * (1 - tanh_c²), formed in dc
+                np.multiply(dh[:n], o, out=v[:n])
+                v[:n] *= d_tanh[s:e]
+                dc[:n] += v[:n]
+                # d_f, d_i, d_o = (dc_t c_in, dc_t g, dh tanh_c) * s * (1 - s) of
+                # their gate s: the first factors side by side, then s and 1 - s
+                # over the three blocks at once
+                np.multiply(dc[:n], c_in[s:e], out=block[:n, :hidden])
+                np.multiply(dc[:n], g, out=block[:n, hidden:2 * hidden])
+                np.multiply(dh[:n], tanh_c[s:e], out=block[:n, 2 * hidden:])
+                block[:n] *= act[s:e, :3 * hidden]
+                dz[s:e, :3 * hidden] *= block[:n]
+                # d_g = dc_t * i * (1 - g²)
+                dz[s:e, 3 * hidden:] *= np.multiply(dc[:n], i, out=v[:n])
+                dc[:n] *= f
             else:
-                dz[s:e] = dh[:n] * (1.0 - act[s:e] * act[s:e])
-            dh[:n] = dz[s:e] @ w_h
+                dz[s:e] *= dh[:n]
+            np.matmul(dz[s:e], w_h, out=dh[:n])
         return dz @ w_x, {f"{prefix}.w": np.concatenate([dz.T @ h_in, dz.T @ x], axis=1),
                           f"{prefix}.b": dz.sum(axis=0)}
     return h, back

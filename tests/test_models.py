@@ -664,6 +664,73 @@ class TestLossAndGrads:
             assert probs.shape == (3,) and abs(probs.sum() - 1.0) < 1e-12
 
 
+@st.composite
+def step_loop_cases(draw):
+    """(config, flat, seqs, labels, rng): a model at the mini or the default
+    sizes, its parameters as one flat vector, and a batch of 1-6 records of
+    random lengths whose ids past the true length are random too."""
+    arch = draw(st.sampled_from(models.ARCHITECTURES))
+    config = (ModelConfig(arch, vocab_size=40, max_len=24) if draw(st.booleans())
+              else mini_config(arch))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    flat = init_params(config, seed=int(rng.integers(1000)))
+    flat += rng.uniform(-0.1, 0.1, flat.shape)
+    size = draw(st.integers(min_value=1, max_value=6))
+    seqs = [TokenSequence(rng.integers(0, config.vocab_size + 2, config.max_len).tolist(),
+                          int(rng.integers(0, config.max_len + 1))) for _ in range(size)]
+    return config, flat, seqs, rng.integers(0, 3, size).tolist(), rng
+
+
+def result_bytes(result) -> bytes:
+    loss, (rows, values), grad = result
+    return np.float64(loss).tobytes() + rows.tobytes() + values.tobytes() + grad.tobytes()
+
+
+class TestStepLoop:
+    @given(step_loop_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_writes_only_its_own_buffers(self, case):
+        # the step loops write with out= into their scratch arrays: one that
+        # landed on a parameter view, a record's ids or the activations the
+        # backward reads would change the inputs, a rerun or the gradient
+        config, flat, seqs, labels, rng = case
+        params = models.parameter_views(config, flat)
+        tensors = models.checkpoint_views(config, flat)
+        words = [f"w{k}" for k in range(config.vocab_size)]
+        vocab = fit_vocabulary([" ".join(words)], max_size=config.vocab_size)
+        predictor = Predictor(ModelCheckpoint(config, vocab, frozenset(), "head", tensors, 1))
+        text = " ".join(rng.choice(words + ["oov"], config.max_len + 2).tolist())
+        flat_before = flat.tobytes()
+        tensors_before = {name: tensor.tobytes() for name, tensor in tensors.items()}
+        fused_before = {name: array.tobytes() for name, array in predictor.params.items()}
+        ids_before = [np.asarray(s.ids).tobytes() for s in seqs]
+
+        first = models.loss_and_grads(config, params, seqs, labels)
+        models.score(config, params, seqs)
+        predictor.predict(text)
+
+        assert flat.tobytes() == flat_before
+        assert {name: tensor.tobytes() for name, tensor in tensors.items()} == tensors_before
+        assert {name: array.tobytes() for name, array in predictor.params.items()} == fused_before
+        assert [np.asarray(s.ids).tobytes() for s in seqs] == ids_before
+        assert result_bytes(models.loss_and_grads(config, params, seqs, labels)) == \
+            result_bytes(first)
+
+        # the gradient along one random direction against a central difference
+        _, table_grad, grad = first
+        table_size = params["embedding.table"].size
+        direction = rng.uniform(-1.0, 1.0, flat.size)
+        slope = (dense_table(table_grad, params["embedding.table"].shape).ravel()
+                 @ direction[:table_size] + grad @ direction[table_size:])
+        eps = 1e-6
+
+        def loss_at(step):
+            moved = models.parameter_views(config, flat + step * direction)
+            return models.loss_and_grads(config, moved, seqs, labels)[0]
+        numeric = (loss_at(eps) - loss_at(-eps)) / (2 * eps)
+        assert numeric == pytest.approx(slope, rel=1e-6, abs=1e-9)
+
+
 class TestPredictClass:
     def test_argmax(self):
         assert predict_class([0.2, 0.5, 0.3]) is OperatorClass.MILITARY
