@@ -70,6 +70,41 @@ MUTANTS = [
     Mutant("trailing-bytes-accepted", "src/aerotext/training.py",
            "if at != len(buf):", "if False:",
            "a checkpoint with bytes after its last tensor loads"),
+    Mutant("adam-read-row-taken-as-new", "src/aerotext/training.py",
+           "new = rows[self.slot[rows] < 0]", "new = rows[self.slot[rows] < 1]",
+           "the table row read first gets a fresh moment slot each step, losing its momentum"),
+    Mutant("adam-gradient-in-batch-order", "src/aerotext/training.py",
+           "g[self.slot[rows]] = values", "g[:len(rows)] = values",
+           "the table gradient written in the batch's row order, not the moments' read order"),
+    Mutant("sgd-last-table-row-skipped", "src/aerotext/training.py",
+           "self.table[rows] -= self.lr * values",
+           "self.table[rows[:-1]] -= self.lr * values[:-1]",
+           "SGD steps every read table row but the last"),
+    Mutant("split-train-rounded", "src/aerotext/corpus.py",
+           "n_train = (n * 8) // 10", "n_train = (n * 8 + 5) // 10",
+           "the train part rounded, not floored"),
+    Mutant("split-validation-ceiling", "src/aerotext/corpus.py",
+           "n_val = n // 10", "n_val = (n + 9) // 10",
+           "the validation part rounded up, not floored"),
+    Mutant("csv-not-strict", "src/aerotext/corpus.py",
+           "csv.reader(source, strict=True)", "csv.reader(source, strict=False)",
+           "a quote left open is read to the end of the file as one field"),
+    Mutant("csv-blank-line-kept", "src/aerotext/corpus.py",
+           "            if row:\n                yield",
+           "            if True:\n                yield",
+           "a blank line yields an empty row"),
+    Mutant("split-row-extra-fields", "src/aerotext/cli.py",
+           "if len(row) != 2:", "if len(row) < 2:",
+           "a split row with more than two fields is read as its first two"),
+    Mutant("precision-zero-rule", "src/aerotext/metrics.py",
+           "precision = tp / col if col > 0 else 0.0", "precision = tp / col if col > 0 else 1.0",
+           "a class never predicted gets precision 1"),
+    Mutant("recall-zero-rule", "src/aerotext/metrics.py",
+           "recall = tp / row if row > 0 else 0.0", "recall = tp / row if row > 0 else 1.0",
+           "a class never actual gets recall 1"),
+    Mutant("f1-zero-rule", "src/aerotext/metrics.py",
+           "if precision + recall > 0 else 0.0", "if precision + recall > 0 else 1.0",
+           "a class with zero precision and recall gets F1 1"),
     Mutant("f1-epsilon", "src/aerotext/metrics.py",
            "f1 = 2 * precision * recall / (precision + recall) if",
            "f1 = 2 * precision * recall / (precision + recall + 1e-12) if",
@@ -92,6 +127,17 @@ MUTANTS = [
     Mutant("srnn-state-before-tanh", "src/aerotext/models.py",
            "h[:n] = np.tanh(a, out=a)", "h[:n] = a\n            np.tanh(a, out=a)",
            "the sRNN's next state copied from the activations before their tanh"),
+    Mutant("packing-offsets-inclusive", "src/aerotext/models.py",
+           "np.searchsorted(steps, np.arange(t_max + 1))",
+           "np.searchsorted(steps, np.arange(t_max + 1), side=\"right\")",
+           "each step's packed rows start one step late"),
+    Mutant("blstm-reversed-within-longest", "src/aerotext/models.py",
+           "starts[lengths[rows] - 1 - steps] + rows", "starts[lengths[0] - 1 - steps] + rows",
+           "the reversed pass reverses every row within the batch's longest length, "
+           "not its own"),
+    Mutant("blstm-gradient-not-unreversed", "src/aerotext/models.py",
+           "d_x[reverse] += d_reversed", "d_x += d_reversed",
+           "the reversed pass's input gradient added in reversed order"),
     Mutant("kernel-too-large-off-by-one", "src/aerotext/models.py",
            "if k > lengths.min(initial=k):", "if k > lengths.min(initial=k) + 1:",
            "a kernel one longer than a record is not refused as KernelTooLarge"),

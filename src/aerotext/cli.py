@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import csv
 import hashlib
-import io
 import json
 import os
 import sys
@@ -28,10 +26,13 @@ from .corpus import (
     LabeledRecord,
     OperatorClass,
     OperatorMapping,
+    SplitDataset,
     annotate_records,
     clean_records,
     ingest_records,
+    read_csv,
     split_dataset,
+    write_csv,
 )
 from .errors import AerotextError, InvalidConfig, MalformedCsv, read_utf8
 from .models import ARCHITECTURES, ModelConfig
@@ -122,32 +123,19 @@ def _blas() -> dict[str, str | int]:
     return info
 
 
-def _write_split_csv(path: Path, records: list[LabeledRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["label", "summary"])
-        for record in records:
-            writer.writerow([record.label.label, record.summary])
-
-
 def _read_split_csv(path: Path) -> list[LabeledRecord]:
+    rows = read_csv(path)
+    next(rows, None)  # the header
     records = []
-    reader = csv.reader(io.StringIO(read_utf8(path, MalformedCsv), newline=""))
-    try:
-        next(reader, None)
-        for row in reader:
-            if not row:
-                continue
-            where = f"{path}:{reader.line_num}"
-            if len(row) != 2:
-                raise MalformedCsv(f"{where}: expected 2 fields (label, summary), got {len(row)}")
-            try:
-                label = OperatorClass.from_name(row[0])
-            except ValueError as exc:
-                raise MalformedCsv(f"{where}: {exc}") from None
-            records.append(LabeledRecord(label, row[1]))
-    except csv.Error as exc:
-        raise MalformedCsv(f"{path}:{reader.line_num}: {exc}") from None
+    for line, row in rows:
+        if len(row) != 2:
+            raise MalformedCsv(f"{path}:{line}: expected 2 fields (label, summary), "
+                               f"got {len(row)}")
+        try:
+            label = OperatorClass.from_name(row[0])
+        except ValueError as exc:
+            raise MalformedCsv(f"{path}:{line}: {exc}") from None
+        records.append(LabeledRecord(label, row[1]))
     return records
 
 
@@ -180,16 +168,14 @@ def cmd_prepare(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, filename in SPLIT_FILES.items():
-        _write_split_csv(out_dir / filename, getattr(split, name))
+        write_csv(out_dir / filename, ["label", "summary"],
+                  ([r.label.label, r.summary] for r in getattr(split, name)))
     vocab.save(out_dir / "vocab.tsv")
     (out_dir / "stats.json").write_text(stats.to_json() + "\n", encoding="utf-8")
     (out_dir / "stopwords.txt").write_text(
         "\n".join(sorted(stopwords)) + "\n", encoding="utf-8")
-    with open(out_dir / "unmapped.csv", "w", encoding="utf-8", newline="\n") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["operator", "count"])
-        for operator, count in sorted(annotation.unmapped.items()):
-            writer.writerow([operator, count])
+    write_csv(out_dir / "unmapped.csv", ["operator", "count"],
+              sorted(annotation.unmapped.items()))
 
     _write_manifest(
         out_dir, "prepare", args.seed,
@@ -226,8 +212,9 @@ def cmd_prepare(args) -> int:
 
 def _load_prepared(data_dir: Path) -> dict:
     manifest_path = data_dir / "manifest.json"
+    text = read_utf8(manifest_path, InvalidConfig)
     try:
-        prep = json.loads(manifest_path.read_text(encoding="utf-8"))["config"]
+        prep = json.loads(text)["config"]
         max_len, truncate = prep["max_len"], prep["truncate"]
     except (ValueError, RecursionError) as exc:
         raise InvalidConfig(f"{manifest_path}: not valid JSON: {exc}") from None
@@ -257,8 +244,6 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out)
     prepared = _load_prepared(data_dir)
     splits = prepared["splits"]
-
-    from .corpus import SplitDataset
     split = SplitDataset(splits["train"], splits["validation"], splits["test"], args.seed)
     vocab = prepared["vocab"]
     model_config = ModelConfig(

@@ -5,18 +5,19 @@ narrative column. Operators are mapped onto the three target classes via
 an external pattern file (the original data carries hundreds of distinct
 operator labels), rows with blank fields or exact duplicates are dropped
 with per-reason counts, and the labeled records are shuffled and split
-80/10/10 by a documented PRNG so the split is reproducible anywhere.
+80/10/10 by a documented PRNG so the split is reproducible anywhere. The
+package's one CSV reader and one CSV writer, and so its CSV dialect, live
+here too (`read_csv`, `write_csv`).
 """
 
 from __future__ import annotations
 
 import csv
-import io
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .errors import (
     InvalidMapping,
@@ -25,6 +26,7 @@ from .errors import (
     TooFewRecords,
     UnmappedOperator,
     read_utf8,
+    read_utf8_lines,
 )
 
 DEFAULT_OPERATOR_COLUMN = "Operator"
@@ -140,51 +142,64 @@ def annotate_records(records: Iterable[RawRecord], mapping: OperatorMapping) -> 
     return AnnotationResult(labeled, unmapped)
 
 
-# --- CSV ingestion ----------------------------------------------------------
+# --- CSV ---------------------------------------------------------------------
 
-def ingest_records(source: str | Path | TextIO | io.BufferedIOBase,
-                   operator_column: str = DEFAULT_OPERATOR_COLUMN,
-                   summary_column: str = DEFAULT_SUMMARY_COLUMN) -> list[RawRecord]:
-    """Parse an RFC-4180 CSV with a header row into RawRecords, in file order.
+def _csv_name(source: str | Path | TextIO) -> str:
+    """How an error names a CSV source: its path, else the stream's name."""
+    return str(source if isinstance(source, (str, Path)) else getattr(source, "name", "input"))
 
-    Quoted fields may embed commas and newlines. Raises MissingColumn if
-    a named column is absent, MalformedCsv (with the row number) on
-    unbalanced quoting or rows too short to hold both columns, and
-    MalformedCsv naming the file on bytes that are not UTF-8.
-    """
+
+def read_csv(source: str | Path | TextIO) -> Iterator[tuple[int, list[str]]]:
+    """Yield `(line, row)` for each non-blank row of an RFC-4180 CSV, `line`
+    being the line the row ends on: a path as UTF-8, a text stream as it is.
+    Quoted fields may embed commas and newlines; a quote left open is an
+    error. Raises MalformedCsv naming the source and line on every CSV error
+    and on bytes that are not UTF-8."""
+    name = _csv_name(source)
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
-            return ingest_records(handle, operator_column, summary_column)
-    if isinstance(source, (io.RawIOBase, io.BufferedIOBase)) or (
-            hasattr(source, "read") and isinstance(source.read(0), bytes)):
-        source = io.TextIOWrapper(source, encoding="utf-8", newline="")
-
+        # line by line: a StringIO of a whole records CSV holds 4 bytes a character,
+        # and freeing a buffer that large slowed the numpy work that followed it
+        source = read_utf8_lines(source, MalformedCsv)
     reader = csv.reader(source, strict=True)
     try:
-        header = next(reader, None)
-        if header is None:
-            raise MissingColumn("empty input: no header row")
-        indices = {}
-        for name in (operator_column, summary_column):
-            if name not in header:
-                raise MissingColumn(f"column {name!r} not found in header {header}")
-            indices[name] = header.index(name)
-        needed = max(indices.values())
-        records = []
         for row in reader:
-            if not row:  # stray blank line
-                continue
-            if len(row) <= needed:
-                raise MalformedCsv(f"row {reader.line_num}: {len(row)} fields, "
-                                   f"need at least {needed + 1}")
-            records.append(RawRecord(row[indices[operator_column]],
-                                     row[indices[summary_column]]))
-        return records
+            if row:
+                yield reader.line_num, row
     except csv.Error as exc:
-        raise MalformedCsv(f"row {reader.line_num}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        name = getattr(source, "name", "input")
-        raise MalformedCsv(f"{name}: not UTF-8 text ({exc.reason})") from None
+        raise MalformedCsv(f"{name}:{reader.line_num}: {exc}") from None
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header row and `rows` as UTF-8 CSV with "\\n" line ends."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def ingest_records(source: str | Path | TextIO,
+                   operator_column: str = DEFAULT_OPERATOR_COLUMN,
+                   summary_column: str = DEFAULT_SUMMARY_COLUMN) -> list[RawRecord]:
+    """Parse a records CSV (see `read_csv`) into RawRecords, in file order.
+    Its first row that is not blank is the header. Raises MissingColumn if a
+    named column is absent, and MalformedCsv naming the source and line on a
+    row too short to hold both columns."""
+    name = _csv_name(source)
+    rows = read_csv(source)
+    line, header = next(rows, (0, None))
+    if header is None:
+        raise MissingColumn(f"{name}: empty input: no header row")
+    for column in (operator_column, summary_column):
+        if column not in header:
+            raise MissingColumn(f"{name}:{line}: column {column!r} not found in header {header}")
+    operator, summary = header.index(operator_column), header.index(summary_column)
+    needed = max(operator, summary) + 1
+    records = []
+    for line, row in rows:
+        if len(row) < needed:
+            raise MalformedCsv(f"{name}:{line}: {len(row)} fields, need at least {needed}")
+        records.append(RawRecord(row[operator], row[summary]))
+    return records
 
 
 # --- cleaning ----------------------------------------------------------------

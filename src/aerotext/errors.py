@@ -1,5 +1,6 @@
-"""Exception types shared across the toolkit, and `read_utf8`, which raises them."""
+"""Exception types shared across the toolkit, and the UTF-8 readers that raise them."""
 
+from collections.abc import Iterator
 from pathlib import Path
 
 
@@ -7,15 +8,22 @@ class AerotextError(Exception):
     """Base class for every error this package raises on purpose."""
 
 
+def read_utf8_lines(path: str | Path, error: type[AerotextError]) -> Iterator[str]:
+    """Each line of a UTF-8 file with its "\\n", "\\r\\n" or "\\r" end, decoded
+    one at a time; `error`, naming the file and line, at the first line that
+    is not UTF-8."""
+    lines = Path(path).read_bytes().splitlines(keepends=True)
+    for number, line in enumerate(lines, start=1):
+        try:
+            yield line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}:{number}: not UTF-8 text ({exc.reason})") from None
+
+
 def read_utf8(path: str | Path, error: type[AerotextError]) -> str:
     """The text of a UTF-8 file, newlines untranslated; `error`, naming the
     file and line, when it is not UTF-8."""
-    data = Path(path).read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise error(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+    return "".join(read_utf8_lines(path, error))
 
 
 class InvalidConfig(AerotextError, ValueError):

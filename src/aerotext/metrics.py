@@ -9,7 +9,6 @@ is 0, so a class that is never predicted reports zeros instead of NaN.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -17,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import jsonio, models, training
-from .corpus import LabeledRecord, OperatorClass
+from .corpus import LabeledRecord, OperatorClass, write_csv
 from .errors import EmptyInput, EmptyMatrix, IoFailure, LengthMismatch
 from .textprep import TokenSequence, cleanse_text, encode_sequence
 from .training import EpochRecord, ModelCheckpoint
@@ -184,20 +183,13 @@ def export_reports(report: ClassificationReport, counts: np.ndarray,
             paths["history"] = directory / "history.csv"
             paths["history"].write_text(training.history_to_csv(history), encoding="utf-8")
 
-        with open(paths["per_class"], "w", encoding="utf-8", newline="\n") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["model", "class", "precision", "recall", "f1"])
-            for name, m in zip(CLASS_NAMES, report.per_class):
-                writer.writerow([model_name, name, repr(m.precision),
-                                 repr(m.recall), repr(m.f1)])
-
-        with open(paths["macro"], "w", encoding="utf-8", newline="\n") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["model", "macro_precision", "macro_recall",
-                             "macro_f1", "accuracy"])
-            writer.writerow([model_name, repr(report.macro_precision),
-                             repr(report.macro_recall), repr(report.macro_f1),
-                             repr(report.accuracy)])
+        write_csv(paths["per_class"], ["model", "class", "precision", "recall", "f1"],
+                  ([model_name, name, repr(m.precision), repr(m.recall), repr(m.f1)]
+                   for name, m in zip(CLASS_NAMES, report.per_class)))
+        write_csv(paths["macro"], ["model", "macro_precision", "macro_recall", "macro_f1",
+                                   "accuracy"],
+                  [[model_name, repr(report.macro_precision), repr(report.macro_recall),
+                    repr(report.macro_f1), repr(report.accuracy)]])
         return paths
     except OSError as exc:
         raise IoFailure(f"failed writing reports to {directory}: {exc}") from None

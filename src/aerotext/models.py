@@ -584,7 +584,9 @@ def encode_features(config: ModelConfig, params: Mapping[str, np.ndarray],
                     seqs: Sequence[TokenSequence], train: bool = True):
     """A batch of TokenSequences -> (features (B, feature_size), back),
     with back(d_features) -> {name: grad} for the embedding table (in row
-    form, see `embedding_lookup`) and the encoder.
+    form, see `embedding_lookup`) and the encoder. The batch's ids are
+    taken as one (B, T) matrix, so ids of different lengths are refused
+    (ValueError) for every architecture.
 
     Recurrent paths embed only the first true_length ids of each row; the
     CNN embeds each row through its last non-padding id (found from the ids,
@@ -593,9 +595,9 @@ def encode_features(config: ModelConfig, params: Mapping[str, np.ndarray],
     `recurrent_forward`); with train=False back is None.
     """
     table = params["embedding.table"]
+    ids = np.asarray([s.ids for s in seqs], dtype=np.int64)
     if config.arch == "cnn":
         order = np.arange(len(seqs))
-        ids = np.asarray([s.ids for s in seqs], dtype=np.int64)
         lengths = _conv_lengths(ids, config.conv_kernel)
         x, embedding_back = embedding_lookup(ids[np.arange(ids.shape[1]) < lengths[:, None]],
                                              table)
@@ -605,11 +607,8 @@ def encode_features(config: ModelConfig, params: Mapping[str, np.ndarray],
         lengths = _true_lengths(seqs)
         order = np.argsort(-lengths, kind="stable")
         lengths = lengths[order]
-        padded = np.zeros((len(seqs), int(lengths.max(initial=0))), dtype=np.int64)
-        for row, index in enumerate(order):
-            padded[row, :lengths[row]] = seqs[index].ids[:lengths[row]]
         rows, steps, _ = _packing(lengths)
-        x, embedding_back = embedding_lookup(padded[rows, steps], table)
+        x, embedding_back = embedding_lookup(ids[order[rows], steps], table)
         if config.arch == "blstm":
             encoded, encoder_back = blstm_forward(x, lengths, params, train)
         else:

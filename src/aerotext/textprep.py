@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import jsonio
-from .errors import EmptyCorpus, InvalidConfig, read_utf8
+from .errors import EmptyCorpus, InvalidConfig, MalformedCsv, read_utf8
 
 PAD_ID = 0
 OOV_ID = 1
@@ -125,7 +125,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        return cls.from_tsv(Path(path).read_text(encoding="utf-8"))
+        return cls.from_tsv(read_utf8(path, MalformedCsv))
 
 
 def fit_vocabulary(corpus: Sequence[str], max_size: int = DEFAULT_VOCAB_SIZE) -> Vocabulary:

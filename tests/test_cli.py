@@ -138,6 +138,19 @@ class TestPrepare:
         assert code == 1
         assert err.strip()
 
+    def test_short_row_names_the_file_and_line(self, tmp_path, capsys):
+        data_csv = write_keyword_csv(tmp_path / "data.csv")
+        lines = data_csv.read_bytes().splitlines()
+        lines[2] = b"ACME Airlines"
+        data_csv.write_bytes(b"\n".join(lines) + b"\n")
+        out = tmp_path / "prepared"
+        code, stdout, err = run(["prepare", "--input", str(data_csv), "--mapping",
+                                 str(write_mapping(tmp_path / "map.tsv")), "--out", str(out)],
+                                capsys)
+        assert code == 1 and stdout == ""
+        assert err == f"error: {data_csv}:3: 1 fields, need at least 2\n"
+        assert not out.exists()
+
     def test_env_seed_default(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("AEROTEXT_SEED", "99")
         data_csv = write_keyword_csv(tmp_path / "data.csv")
@@ -324,10 +337,27 @@ def test_config_error_exits_1_with_one_error_line(tmp_path, capsys, monkeypatch,
         assert f"{bad}:" in err and "not UTF-8" in err, err
 
 
+@pytest.mark.parametrize("name", ["vocab.tsv", "manifest.json"])
+def test_prepared_file_not_utf8_names_its_line(tmp_path, capsys, name):
+    prepared = prepare_dir(tmp_path, capsys)
+    path = prepared / name
+    lines = path.read_bytes().split(b"\n")
+    lines[1] = b"\xff" + lines[1]
+    path.write_bytes(b"\n".join(lines))
+    out = tmp_path / "run"
+    code, stdout, err = run(["train", "--data", str(prepared), "--arch", "srnn",
+                             "--epochs", "1", "--out", str(out)], capsys)
+    assert code == 1 and stdout == ""
+    assert err.startswith(f"error: {path}:2: not UTF-8") and len(err.splitlines()) == 1, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("row", [b"Civil,engine fire on climb", b"Military",
+                                 b"Military,engine fire,on climb",
                                  b"Military,engine \xff fire",
                                  b"Military," + b"x" * (csv.field_size_limit() + 1)],
-                         ids=["unknown-label", "one-field", "not-utf8", "field-over-limit"])
+                         ids=["unknown-label", "one-field", "three-fields", "not-utf8",
+                              "field-over-limit"])
 def test_bad_split_row_exits_1_with_one_error_line(tmp_path, capsys, row):
     prepared = prepare_dir(tmp_path, capsys)
     run_dir, _ = train_dir(tmp_path, capsys, prepared, epochs="1")
@@ -345,6 +375,27 @@ def test_bad_split_row_exits_1_with_one_error_line(tmp_path, capsys, row):
         assert stdout == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1, err
         assert f"{train_csv}:3:" in err
+        assert not out.exists()
+
+
+def test_stray_quote_in_split_exits_1(tmp_path, capsys):
+    # a quote left open is refused, not read to the end of the file as one summary
+    prepared = prepare_dir(tmp_path, capsys)
+    run_dir, _ = train_dir(tmp_path, capsys, prepared, epochs="1")
+    train_csv = prepared / "train.csv"
+    lines = train_csv.read_bytes().splitlines()
+    lines[2] = b'Military,"engine fire on climb'
+    train_csv.write_bytes(b"\n".join(lines) + b"\n")
+    for out, argv in (
+            (tmp_path / "retrain", ["train", "--data", str(prepared), "--arch", "srnn",
+                                    "--epochs", "1"]),
+            (tmp_path / "eval", ["evaluate", "--checkpoint", str(run_dir / "checkpoint.atxc"),
+                                 "--data", str(prepared), "--split", "train"])):
+        code, stdout, err = run(argv + ["--out", str(out)], capsys)
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith(f"error: {train_csv}:") and len(err.splitlines()) == 1, err
+        assert "unexpected end of data" in err
         assert not out.exists()
 
 

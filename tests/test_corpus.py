@@ -78,24 +78,39 @@ class TestIngest:
         text = 'Operator,Summary\nok,fine\n"broken,oops\n'
         with pytest.raises(MalformedCsv) as exc:
             ingest_records(io.StringIO(text))
-        assert "row" in str(exc.value)
+        assert ":3:" in str(exc.value)
 
     def test_short_row_is_malformed(self):
         with pytest.raises(MalformedCsv) as exc:
             ingest_records(io.StringIO("Operator,Summary\nonlyone\n"))
-        assert "row 2" in str(exc.value)
+        assert ":2:" in str(exc.value)
+
+    def test_blank_lines_are_skipped(self):
+        # the header is the first row that is not blank
+        text = "\nOperator,Summary\n\nA,first\n\nB,second\n"
+        records = ingest_records(io.StringIO(text))
+        assert records == [RawRecord("A", "first"), RawRecord("B", "second")]
 
     def test_custom_column_names(self):
         text = "Op,Text\nA,hello\n"
         records = ingest_records(io.StringIO(text), "Op", "Text")
         assert records == [RawRecord("A", "hello")]
 
-    def test_byte_stream_input(self):
-        raw = io.BytesIO("Operator,Summary\nA,utf8 café\n".encode("utf-8"))
-        assert ingest_records(raw)[0].summary == "utf8 café"
+    def test_utf8_file_input(self, tmp_path):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_bytes("Operator,Summary\nA,utf8 café\n".encode("utf-8"))
+        assert ingest_records(good)[0].summary == "utf8 café"
+        bad.write_bytes(b"Operator,Summary\nA,caf\xe9\n")
         with pytest.raises(MalformedCsv) as exc:
-            ingest_records(io.BytesIO(b"Operator,Summary\nA,caf\xe9\n"))
-        assert "not UTF-8" in str(exc.value)
+            ingest_records(bad)
+        assert f"{bad}:2:" in str(exc.value) and "not UTF-8" in str(exc.value)
+
+    def test_file_line_ends(self, tmp_path):
+        # a file is split into lines at \r\n, \r and \n, as csv expects
+        path = tmp_path / "ends.csv"
+        path.write_bytes(b'Operator,Summary\r\nA,x\rB,"y\r\nz"\nC,\xc3\xa9\x0c\xe2\x80\xa8w')
+        assert ingest_records(path) == [RawRecord("A", "x"), RawRecord("B", "y\r\nz"),
+                                        RawRecord("C", "é\x0c\u2028w")]
 
     def test_fixture_file(self, fixture_csv):
         records = ingest_records(fixture_csv)
