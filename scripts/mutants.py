@@ -67,6 +67,9 @@ MUTANTS = [
     Mutant("field-bound-one-byte-loose", "src/aerotext/training.py",
            "if n > len(buf) - at:", "if n > len(buf) - at + 1:",
            "a checkpoint field one byte short of its length passes the bounds check"),
+    Mutant("checkpoint-truncate-not-required", "src/aerotext/training.py",
+           "(\"epoch\", \"truncate\", \"stopwords\",", "(\"epoch\", \"stopwords\",",
+           "a checkpoint without its truncate side is not refused as CorruptCheckpoint"),
     Mutant("trailing-bytes-accepted", "src/aerotext/training.py",
            "if at != len(buf):", "if False:",
            "a checkpoint with bytes after its last tensor loads"),
@@ -87,8 +90,13 @@ MUTANTS = [
            "n_val = n // 10", "n_val = (n + 9) // 10",
            "the validation part rounded up, not floored"),
     Mutant("csv-not-strict", "src/aerotext/corpus.py",
-           "csv.reader(source, strict=True)", "csv.reader(source, strict=False)",
+           "MalformedCsv), strict=True)", "MalformedCsv), strict=False)",
            "a quote left open is read to the end of the file as one field"),
+    Mutant("mapping-lines-by-splitlines", "src/aerotext/corpus.py",
+           "enumerate(read_utf8_lines(path, InvalidMapping), start=1)",
+           "enumerate(\"\".join(read_utf8_lines(path, InvalidMapping)).splitlines(), start=1)",
+           "the mapping's text split by str.splitlines, which also ends a line at U+2028, "
+           "U+0085 and others"),
     Mutant("csv-blank-line-kept", "src/aerotext/corpus.py",
            "            if row:\n                yield",
            "            if True:\n                yield",
@@ -96,6 +104,13 @@ MUTANTS = [
     Mutant("split-row-extra-fields", "src/aerotext/cli.py",
            "if len(row) != 2:", "if len(row) < 2:",
            "a split row with more than two fields is read as its first two"),
+    Mutant("split-header-unchecked", "src/aerotext/cli.py",
+           "if header != SPLIT_HEADER:", "if False:",
+           "a split CSV without its header loses its first record"),
+    Mutant("seed-variable-read-by-parser", "src/aerotext/cli.py",
+           "p.add_argument(\"--seed\", type=int, help=",
+           "p.add_argument(\"--seed\", type=int, default=_env_seed(), help=",
+           "AEROTEXT_SEED read when the parser is built, so a bad value fails every command"),
     Mutant("precision-zero-rule", "src/aerotext/metrics.py",
            "precision = tp / col if col > 0 else 0.0", "precision = tp / col if col > 0 else 1.0",
            "a class never predicted gets precision 1"),

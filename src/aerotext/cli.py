@@ -50,6 +50,7 @@ from .textprep import (
 from .training import TrainConfig, load_checkpoint, train
 
 SPLIT_FILES = {"train": "train.csv", "validation": "validation.csv", "test": "test.csv"}
+SPLIT_HEADER = ["label", "summary"]
 
 
 class _UsageError(Exception):
@@ -61,7 +62,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.format_usage().rstrip()}\n{self.prog}: error: {message}")
 
 
-def _default_seed() -> int:
+def _env_seed() -> int:
+    """The seed of a command run without --seed: AEROTEXT_SEED, else 0."""
     value = os.environ.get("AEROTEXT_SEED", "0")
     try:
         return int(value)
@@ -125,7 +127,10 @@ def _blas() -> dict[str, str | int]:
 
 def _read_split_csv(path: Path) -> list[LabeledRecord]:
     rows = read_csv(path)
-    next(rows, None)  # the header
+    line, header = next(rows, (1, []))
+    if header != SPLIT_HEADER:
+        raise MalformedCsv(f"{path}:{line}: expected the header row {','.join(SPLIT_HEADER)}, "
+                           f"got {header or 'an empty file'}")
     records = []
     for line, row in rows:
         if len(row) != 2:
@@ -168,7 +173,7 @@ def cmd_prepare(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, filename in SPLIT_FILES.items():
-        write_csv(out_dir / filename, ["label", "summary"],
+        write_csv(out_dir / filename, SPLIT_HEADER,
                   ([r.label.label, r.summary] for r in getattr(split, name)))
     vocab.save(out_dir / "vocab.tsv")
     (out_dir / "stats.json").write_text(stats.to_json() + "\n", encoding="utf-8")
@@ -262,7 +267,9 @@ def cmd_train(args) -> int:
     ckpt_path = out_dir / "checkpoint.atxc"
     _write_manifest(
         out_dir, "train", args.seed,
-        inputs={name: data_dir / filename for name, filename in SPLIT_FILES.items()},
+        inputs={name: data_dir / filename for name, filename in
+                dict(SPLIT_FILES, vocab="vocab.tsv", stopwords="stopwords.txt",
+                     prepare_manifest="manifest.json").items()},
         config={"model": model_config.to_json_dict(),
                 "train": {"learning_rate": args.lr, "batch_size": args.batch_size,
                           "epochs": args.epochs, "optimizer": args.optimizer,
@@ -335,7 +342,7 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True, help="source CSV (RFC-4180, header row)")
     p.add_argument("--mapping", required=True, help="operator mapping TSV")
     p.add_argument("--stopwords", help="stopword file (default: built-in list)")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, help="split seed (default: AEROTEXT_SEED, else 0)")
     p.add_argument("--out", required=True)
     p.add_argument("--operator-column", default=DEFAULT_OPERATOR_COLUMN)
     p.add_argument("--summary-column", default=DEFAULT_SUMMARY_COLUMN)
@@ -351,7 +358,8 @@ def build_parser() -> _Parser:
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int,
+                   help="init, shuffle and dropout seed (default: AEROTEXT_SEED, else 0)")
     p.add_argument("--optimizer", choices=training.OPTIMIZERS, default=TrainConfig.optimizer)
     p.add_argument("--select-best-by", choices=training.BEST_BY,
                    default=TrainConfig.select_best_by)
@@ -384,6 +392,8 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if vars(args).get("seed", 0) is None:  # prepare or train without --seed
+            args.seed = _env_seed()
         # overflow and NaN are reported by the package's own checks
         # (NonfiniteLoss, NonfiniteValue) as one error line, not numpy warnings
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     InvalidMapping,
@@ -25,7 +25,6 @@ from .errors import (
     MissingColumn,
     TooFewRecords,
     UnmappedOperator,
-    read_utf8,
     read_utf8_lines,
 )
 
@@ -94,7 +93,7 @@ class OperatorMapping:
     def load(cls, path: str | Path) -> "OperatorMapping":
         """Read a UTF-8 TSV of `pattern<TAB>class-name`; `#` starts a comment."""
         entries = []
-        for lineno, line in enumerate(read_utf8(path, InvalidMapping).splitlines(), start=1):
+        for lineno, line in enumerate(read_utf8_lines(path, InvalidMapping), start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
@@ -144,29 +143,21 @@ def annotate_records(records: Iterable[RawRecord], mapping: OperatorMapping) -> 
 
 # --- CSV ---------------------------------------------------------------------
 
-def _csv_name(source: str | Path | TextIO) -> str:
-    """How an error names a CSV source: its path, else the stream's name."""
-    return str(source if isinstance(source, (str, Path)) else getattr(source, "name", "input"))
-
-
-def read_csv(source: str | Path | TextIO) -> Iterator[tuple[int, list[str]]]:
-    """Yield `(line, row)` for each non-blank row of an RFC-4180 CSV, `line`
-    being the line the row ends on: a path as UTF-8, a text stream as it is.
-    Quoted fields may embed commas and newlines; a quote left open is an
-    error. Raises MalformedCsv naming the source and line on every CSV error
-    and on bytes that are not UTF-8."""
-    name = _csv_name(source)
-    if isinstance(source, (str, Path)):
-        # line by line: a StringIO of a whole records CSV holds 4 bytes a character,
-        # and freeing a buffer that large slowed the numpy work that followed it
-        source = read_utf8_lines(source, MalformedCsv)
-    reader = csv.reader(source, strict=True)
+def read_csv(path: str | Path) -> Iterator[tuple[int, list[str]]]:
+    """Yield `(line, row)` for each non-blank row of the RFC-4180 UTF-8 CSV
+    at `path`, `line` being the line the row ends on. Quoted fields may embed
+    commas and newlines; a quote left open is an error. Raises MalformedCsv
+    naming the file and line on every CSV error and on bytes that are not
+    UTF-8."""
+    # line by line: a StringIO of a whole records CSV holds 4 bytes a character,
+    # and freeing a buffer that large slowed the numpy work that followed it
+    reader = csv.reader(read_utf8_lines(path, MalformedCsv), strict=True)
     try:
         for row in reader:
             if row:
                 yield reader.line_num, row
     except csv.Error as exc:
-        raise MalformedCsv(f"{name}:{reader.line_num}: {exc}") from None
+        raise MalformedCsv(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -177,27 +168,26 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
         writer.writerows(rows)
 
 
-def ingest_records(source: str | Path | TextIO,
+def ingest_records(path: str | Path,
                    operator_column: str = DEFAULT_OPERATOR_COLUMN,
                    summary_column: str = DEFAULT_SUMMARY_COLUMN) -> list[RawRecord]:
-    """Parse a records CSV (see `read_csv`) into RawRecords, in file order.
-    Its first row that is not blank is the header. Raises MissingColumn if a
-    named column is absent, and MalformedCsv naming the source and line on a
-    row too short to hold both columns."""
-    name = _csv_name(source)
-    rows = read_csv(source)
+    """Parse the records CSV at `path` (see `read_csv`) into RawRecords, in
+    file order. Its first row that is not blank is the header. Raises
+    MissingColumn if a named column is absent, and MalformedCsv naming the
+    file and line on a row too short to hold both columns."""
+    rows = read_csv(path)
     line, header = next(rows, (0, None))
     if header is None:
-        raise MissingColumn(f"{name}: empty input: no header row")
+        raise MissingColumn(f"{path}: empty input: no header row")
     for column in (operator_column, summary_column):
         if column not in header:
-            raise MissingColumn(f"{name}:{line}: column {column!r} not found in header {header}")
+            raise MissingColumn(f"{path}:{line}: column {column!r} not found in header {header}")
     operator, summary = header.index(operator_column), header.index(summary_column)
     needed = max(operator, summary) + 1
     records = []
     for line, row in rows:
         if len(row) < needed:
-            raise MalformedCsv(f"{name}:{line}: {len(row)} fields, need at least {needed}")
+            raise MalformedCsv(f"{path}:{line}: {len(row)} fields, need at least {needed}")
         records.append(RawRecord(row[operator], row[summary]))
     return records
 
@@ -208,10 +198,6 @@ def ingest_records(source: str | Path | TextIO,
 class CleanResult:
     kept: list[RawRecord]
     dropped: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def dropped_total(self) -> int:
-        return sum(self.dropped.values())
 
 
 def clean_records(records: Iterable[RawRecord]) -> CleanResult:

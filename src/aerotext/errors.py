@@ -11,7 +11,8 @@ class AerotextError(Exception):
 def read_utf8_lines(path: str | Path, error: type[AerotextError]) -> Iterator[str]:
     """Each line of a UTF-8 file with its "\\n", "\\r\\n" or "\\r" end, decoded
     one at a time; `error`, naming the file and line, at the first line that
-    is not UTF-8."""
+    is not UTF-8. No other character ends a line: `str.splitlines` would also
+    split at U+2028, U+0085, "\\x0c" and others."""
     lines = Path(path).read_bytes().splitlines(keepends=True)
     for number, line in enumerate(lines, start=1):
         try:

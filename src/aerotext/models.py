@@ -260,15 +260,12 @@ def init_params(config: ModelConfig, seed: int) -> np.ndarray:
 
 # --- layers: each returns (output, back) --------------------------------------
 
-def _sigmoid(x: np.ndarray, exp: np.ndarray | None = None,
-             positive: np.ndarray | None = None) -> np.ndarray:
+def _sigmoid(x: np.ndarray, exp: np.ndarray, positive: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-x)) in place on x, taken as exp(x) / (1 + exp(x)) below
     zero so that exp cannot overflow. `exp` and `positive` are float and
-    bool scratch of x's shape, made here if not given. The numerator
-    np.maximum(exp(-|x|), x >= 0) is 1 from zero up and exp(-|x|) below, NaN
-    included: np.where's pick at about half its time."""
-    if exp is None:
-        exp, positive = np.empty_like(x), np.empty(x.shape, dtype=bool)
+    bool scratch of x's shape. The numerator np.maximum(exp(-|x|), x >= 0) is
+    1 from zero up and exp(-|x|) below, NaN included: np.where's pick at
+    about half its time."""
     np.greater_equal(x, 0.0, out=positive)
     np.negative(np.abs(x, out=exp), out=exp)
     np.exp(exp, out=exp)

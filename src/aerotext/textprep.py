@@ -12,6 +12,7 @@ length-distribution plot data.
 
 from __future__ import annotations
 
+import io
 import math
 import re
 from collections import Counter
@@ -21,7 +22,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import jsonio
-from .errors import EmptyCorpus, InvalidConfig, MalformedCsv, read_utf8
+from .errors import EmptyCorpus, InvalidConfig, MalformedCsv, read_utf8, read_utf8_lines
 
 PAD_ID = 0
 OOV_ID = 1
@@ -55,20 +56,21 @@ def cleanse_text(raw: str, stopwords: frozenset[str] | set[str] = frozenset()) -
     return " ".join([t for t in text.split() if t not in stopwords])
 
 
-def _parse_stopwords(text: str) -> frozenset[str]:
+def _parse_stopwords(lines: Iterable[str]) -> frozenset[str]:
     """One stopword per line, stripped and lowercased; blank lines skipped."""
-    return frozenset(word for line in text.splitlines() if (word := line.strip().lower()))
+    return frozenset(word for line in lines if (word := line.strip().lower()))
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Read a newline-delimited UTF-8 stopword file."""
-    return _parse_stopwords(read_utf8(path, InvalidConfig))
+    return _parse_stopwords(read_utf8_lines(path, InvalidConfig))
 
 
 def default_stopwords() -> frozenset[str]:
     """The stopword list shipped with the package (~150 common English words)."""
-    return _parse_stopwords(
-        resources.files("aerotext").joinpath("data/stopwords.txt").read_text("utf-8"))
+    return _parse_stopwords(io.StringIO(
+        resources.files("aerotext").joinpath("data/stopwords.txt").read_text("utf-8"),
+        newline=""))
 
 
 @dataclass
@@ -90,9 +92,6 @@ class Vocabulary:
     def id_for(self, token: str) -> int:
         return self.token_to_id.get(token, OOV_ID)
 
-    def id_to_token(self) -> dict[int, str]:
-        return {i: t for t, i in self.token_to_id.items()}
-
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_tsv(), encoding="utf-8")
 
@@ -103,20 +102,21 @@ class Vocabulary:
 
     @classmethod
     def from_tsv(cls, text: str, max_size: int | None = None) -> "Vocabulary":
-        """Parse `token<TAB>id` lines. Raises ValueError unless the tokens
-        are unique and the ids unique integers in [2, max_size + 1];
-        max_size defaults to the number of tokens."""
+        """Parse `token<TAB>id` lines, which end only at "\\n", "\\r\\n" or
+        "\\r". Raises ValueError unless the tokens are unique and the ids
+        unique integers in [2, max_size + 1]; max_size defaults to the number
+        of tokens."""
         mapping = {}
-        for number, line in enumerate(text.splitlines(), start=1):
+        for number, line in enumerate(io.StringIO(text, newline=""), start=1):
             if not line.strip():
                 continue
-            token, _, i = line.partition("\t")
+            token, _, i = line.partition("\t")  # int() ignores the line end
             if token in mapping:
                 raise ValueError(f"line {number}: token {token!r} repeats")
             try:
                 mapping[token] = int(i)
             except ValueError:
-                raise ValueError(f"line {number}: id {i!r} is not an integer") from None
+                raise ValueError(f"line {number}: id {i.strip()!r} is not an integer") from None
         max_size = max_size if max_size is not None else max(len(mapping), 1)
         ids = list(mapping.values())
         if len(set(ids)) != len(ids) or not all(2 <= i <= max_size + 1 for i in ids):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import BinaryIO, Mapping, Sequence
 
@@ -34,6 +34,9 @@ from .textprep import TRUNCATE, TokenSequence, Vocabulary, encode_sequence
 
 CHECKPOINT_MAGIC = b"ATXC"
 CHECKPOINT_VERSION = 1
+
+# every key save_checkpoint writes; a checkpoint without one is refused
+CHECKPOINT_KEYS = ("epoch", "truncate", "stopwords", *(f.name for f in fields(ModelConfig)))
 
 OPTIMIZERS = ("adam", "sgd")
 BEST_BY = ("validation_accuracy", "validation_loss")
@@ -264,9 +267,10 @@ def load_checkpoint(source: str | Path | BinaryIO) -> ModelCheckpoint:
 
     if not isinstance(meta, dict):
         raise CorruptCheckpoint(f"metadata is a JSON {type(meta).__name__}, not an object")
-    epoch = meta.pop("epoch", 0)
-    truncate = meta.pop("truncate", "head")
-    stopwords = meta.pop("stopwords", [])
+    missing = [key for key in CHECKPOINT_KEYS if key not in meta]
+    if missing:
+        raise CorruptCheckpoint(f"metadata has no {', '.join(missing)}")
+    epoch, truncate, stopwords = meta.pop("epoch"), meta.pop("truncate"), meta.pop("stopwords")
     if type(epoch) is not int or truncate not in TRUNCATE or not (
             isinstance(stopwords, list) and all(isinstance(w, str) for w in stopwords)):
         raise CorruptCheckpoint(f"bad embedded metadata: epoch must be an integer, truncate one "

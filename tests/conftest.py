@@ -115,6 +115,7 @@ def head_params(w1, b1, w2, b2):
 # one, or to the raw bytes that replace it.
 METADATA_FAULTS = {
     "truncate-middle": lambda meta: dict(meta, truncate="middle"),
+    "no-truncate": lambda meta: {k: v for k, v in meta.items() if k != "truncate"},
     "metadata-list": lambda meta: [meta],
     "stopwords-int": lambda meta: dict(meta, stopwords=5),
     "epoch-string": lambda meta: dict(meta, epoch="x"),

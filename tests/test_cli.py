@@ -20,7 +20,7 @@ import aerotext
 from aerotext import cli, jsonio, metrics, models
 from aerotext.cli import main
 from aerotext.errors import AerotextError, NonfiniteValue
-from aerotext.textprep import fit_vocabulary
+from aerotext.textprep import TRUNCATE, fit_vocabulary
 from aerotext.training import ModelCheckpoint, TrainConfig, load_checkpoint, save_checkpoint
 
 from conftest import FIXTURE_CSV, METADATA_FAULTS, edit_checkpoint_metadata
@@ -397,6 +397,54 @@ def test_stray_quote_in_split_exits_1(tmp_path, capsys):
         assert err.startswith(f"error: {train_csv}:") and len(err.splitlines()) == 1, err
         assert "unexpected end of data" in err
         assert not out.exists()
+
+
+def test_split_without_its_header_exits_1(tmp_path, capsys):
+    # the header line removed: its first record is not taken for the header
+    prepared = prepare_dir(tmp_path, capsys)
+    run_dir, _ = train_dir(tmp_path, capsys, prepared, epochs="1")
+    test_csv = prepared / "test.csv"
+    test_csv.write_bytes(test_csv.read_bytes().split(b"\n", 1)[1])
+    out = tmp_path / "eval"
+    code, stdout, err = run(["evaluate", "--checkpoint", str(run_dir / "checkpoint.atxc"),
+                             "--data", str(prepared), "--out", str(out)], capsys)
+    assert code == 1 and stdout == ""
+    assert err.startswith(f"error: {test_csv}:1: expected the header row label,summary")
+    assert len(err.splitlines()) == 1, err
+    assert not out.exists()
+
+
+def test_seed_variable_is_read_only_by_prepare_and_train_without_seed(tmp_path, capsys,
+                                                                        monkeypatch):
+    monkeypatch.setenv("AEROTEXT_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"aerotext {aerotext.__version__}\n"
+    prepared = prepare_dir(tmp_path, capsys)   # --seed 5
+    run_dir, _ = train_dir(tmp_path, capsys, prepared, epochs="1")   # --seed 7
+    checkpoint = str(run_dir / "checkpoint.atxc")
+    for argv in (["predict", "--checkpoint", checkpoint, "--text", "alpha"],
+                 ["evaluate", "--checkpoint", checkpoint, "--data", str(prepared),
+                  "--out", str(tmp_path / "eval")]):
+        code, _, err = run(argv, capsys)
+        assert code == 0 and err == "", err
+
+
+def test_train_manifest_digests_every_prepared_file(tmp_path, capsys):
+    # two prepared directories that differ only in their recorded --truncate
+    digests = []
+    for truncate in TRUNCATE:
+        (tmp_path / truncate).mkdir()
+        prepared = prepare_dir(tmp_path / truncate, capsys, truncate=truncate)
+        run_dir, _ = train_dir(tmp_path / truncate, capsys, prepared, epochs="1")
+        inputs = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))["inputs"]
+        assert inputs["prepare_manifest"]["path"] == str(prepared / "manifest.json")
+        digests.append({name: entry["sha256"] for name, entry in inputs.items()})
+    assert sorted(digests[0]) == ["prepare_manifest", "stopwords", "test", "train",
+                                  "validation", "vocab"]
+    assert [name for name in digests[0] if digests[0][name] != digests[1][name]] == [
+        "prepare_manifest"]
 
 
 def _repeat_id(text):

@@ -1,4 +1,3 @@
-import io
 from collections import Counter
 from importlib import resources
 
@@ -52,48 +51,54 @@ class TestOperatorClass:
             OperatorClass.from_name("Cargo")
 
 
+def write_csv_file(tmp_path, text):
+    path = tmp_path / "records.csv"
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
 class TestIngest:
-    def test_two_rows_in_file_order(self):
+    def test_two_rows_in_file_order(self, tmp_path):
         text = "Operator,Summary\nA,first\nB,second\n"
-        records = ingest_records(io.StringIO(text))
+        records = ingest_records(write_csv_file(tmp_path, text))
         assert records == [RawRecord("A", "first"), RawRecord("B", "second")]
 
-    def test_rfc4180_quoting(self):
+    def test_rfc4180_quoting(self, tmp_path):
         text = 'Operator,Summary\n"Smith, John Air","engine fire"\n'
-        records = ingest_records(io.StringIO(text))
+        records = ingest_records(write_csv_file(tmp_path, text))
         assert records[0].operator == "Smith, John Air"
         assert records[0].summary == "engine fire"
 
-    def test_quoted_embedded_newline(self):
+    def test_quoted_embedded_newline(self, tmp_path):
         text = 'Operator,Summary\nA,"line one\nline two"\n'
-        records = ingest_records(io.StringIO(text))
+        records = ingest_records(write_csv_file(tmp_path, text))
         assert records[0].summary == "line one\nline two"
 
-    def test_missing_column(self):
+    def test_missing_column(self, tmp_path):
         with pytest.raises(MissingColumn) as exc:
-            ingest_records(io.StringIO("Operator,Narrative\nA,x\n"))
+            ingest_records(write_csv_file(tmp_path, "Operator,Narrative\nA,x\n"))
         assert "Summary" in str(exc.value)
 
-    def test_unbalanced_quote_reports_row(self):
+    def test_unbalanced_quote_reports_row(self, tmp_path):
         text = 'Operator,Summary\nok,fine\n"broken,oops\n'
         with pytest.raises(MalformedCsv) as exc:
-            ingest_records(io.StringIO(text))
+            ingest_records(write_csv_file(tmp_path, text))
         assert ":3:" in str(exc.value)
 
-    def test_short_row_is_malformed(self):
+    def test_short_row_is_malformed(self, tmp_path):
         with pytest.raises(MalformedCsv) as exc:
-            ingest_records(io.StringIO("Operator,Summary\nonlyone\n"))
+            ingest_records(write_csv_file(tmp_path, "Operator,Summary\nonlyone\n"))
         assert ":2:" in str(exc.value)
 
-    def test_blank_lines_are_skipped(self):
+    def test_blank_lines_are_skipped(self, tmp_path):
         # the header is the first row that is not blank
         text = "\nOperator,Summary\n\nA,first\n\nB,second\n"
-        records = ingest_records(io.StringIO(text))
+        records = ingest_records(write_csv_file(tmp_path, text))
         assert records == [RawRecord("A", "first"), RawRecord("B", "second")]
 
-    def test_custom_column_names(self):
+    def test_custom_column_names(self, tmp_path):
         text = "Op,Text\nA,hello\n"
-        records = ingest_records(io.StringIO(text), "Op", "Text")
+        records = ingest_records(write_csv_file(tmp_path, text), "Op", "Text")
         assert records == [RawRecord("A", "hello")]
 
     def test_utf8_file_input(self, tmp_path):
@@ -123,14 +128,14 @@ class TestClean:
         records = [RawRecord("A", "x"), RawRecord("B", "   "), RawRecord("C", "y")]
         result = clean_records(records)
         assert [r.operator for r in result.kept] == ["A", "C"]
-        assert result.dropped_total == 1
+        assert sum(result.dropped.values()) == 1
         assert result.dropped["blank_summary"] == 1
 
     def test_valid_distinct_records_pass_through(self):
         records = [RawRecord("A", "x"), RawRecord("B", "y")]
         result = clean_records(records)
         assert result.kept == records
-        assert result.dropped_total == 0
+        assert sum(result.dropped.values()) == 0
 
     def test_duplicates_keep_first(self):
         records = [RawRecord("A", "x"), RawRecord("A", "x"), RawRecord("A", "y")]
@@ -146,7 +151,7 @@ class TestClean:
         once = clean_records(records)
         twice = clean_records(once.kept)
         assert twice.kept == once.kept
-        assert twice.dropped_total == 0
+        assert sum(twice.dropped.values()) == 0
 
 
 class TestAnnotate:
@@ -208,6 +213,16 @@ class TestAnnotate:
                         encoding="utf-8")
         mapping = OperatorMapping.load(path)
         assert mapping.lookup("ACME Air") is OperatorClass.COMMERCIAL
+
+    def test_mapping_lines_end_only_at_cr_and_lf(self, tmp_path):
+        # U+0085, U+2028 and \x0c are inside a line, as in the records CSV
+        path = tmp_path / "map.tsv"
+        path.write_text("u.s.\x85air force\tMilitary\n# note\u2028\r\nacme\x0cair\tCommercial\r"
+                        "navy\n", encoding="utf-8", newline="")
+        with pytest.raises(InvalidMapping, match=f"^{path}:4: expected pattern<TAB>class$"):
+            OperatorMapping.load(path)
+        path.write_text("U.S.\x85Air Force\tMilitary\n", encoding="utf-8")
+        assert OperatorMapping.load(path).lookup("U.S. AIR FORCE") is OperatorClass.MILITARY
 
     def test_mapping_file_bad_class(self, tmp_path):
         path = tmp_path / "map.tsv"

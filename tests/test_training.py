@@ -639,6 +639,18 @@ class TestCheckpointIo:
         with pytest.raises(CorruptCheckpoint):
             load_checkpoint(io.BytesIO(blob))
 
+    @pytest.mark.parametrize("key", ["epoch", "truncate", "stopwords", "arch", "vocab_size",
+                                     "embedding_dim", "hidden_units", "head_units",
+                                     "num_classes", "max_len", "conv_filters", "conv_kernel",
+                                     "dropout_rate"])
+    def test_missing_metadata_key_is_named(self, key):
+        buf = io.BytesIO()
+        save_checkpoint(self.make_checkpoint("cnn"), buf)
+        blob = edit_checkpoint_metadata(buf.getvalue(),
+                                        lambda meta: {k: v for k, v in meta.items() if k != key})
+        with pytest.raises(CorruptCheckpoint, match=f"^metadata has no {key}$"):
+            load_checkpoint(io.BytesIO(blob))
+
     @pytest.mark.parametrize("arch", models.ARCHITECTURES)
     def test_params_round_trip_through_checkpoint(self, tmp_path, arch):
         ckpt = self.make_checkpoint(arch)
