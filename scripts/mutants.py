@@ -83,6 +83,10 @@ MUTANTS = [
            "self.table[rows] -= self.lr * values",
            "self.table[rows[:-1]] -= self.lr * values[:-1]",
            "SGD steps every read table row but the last"),
+    Mutant("history-columns-out-of-order", "src/aerotext/training.py",
+           "\"val_loss\", \"val_acc\")", "\"val_acc\", \"val_loss\")",
+           "history.csv's header names the validation columns in the other order than "
+           "its rows hold them"),
     Mutant("split-train-rounded", "src/aerotext/corpus.py",
            "n_train = (n * 8) // 10", "n_train = (n * 8 + 5) // 10",
            "the train part rounded, not floored"),

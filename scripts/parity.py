@@ -5,16 +5,21 @@
 Extracts REF with `git archive` into a temporary directory (no worktree, no
 branch change) and runs the same CLI sequence on both trees under
 OPENBLAS_NUM_THREADS=1, since reruns are byte-identical only at a fixed
-BLAS thread count:
+BLAS thread count. It runs the traffic that `scripts/traffic.py` traces
+(its PREPARED, SETUPS and TEXTS), at the default model dims:
 
-  - `prepare` of the `bench/gen.py` seed-3 corpus at --max-len 24;
-  - `train` for 2 epochs, every architecture, with Adam at the defaults and
-    with SGD at lr 0.05, dropout 0.3 and --select-best-by validation_loss;
-  - `prepare` of the same corpus at the default --max-len and one epoch of
-    the LSTM on it: at --max-len 24 many records are cut to the same
-    length, so few recurrent steps run with a few rows, and a change to
-    the products of such steps could go unseen;
-  - `evaluate --split test` and `predict --text` of every checkpoint.
+  - `prepare` of the `bench/gen.py` seed-3 corpus at --max-len 24, once
+    plain and without --seed (with AEROTEXT_SEED unset, so at seed 0) and
+    once with --stratify, --truncate tail and --seed 3;
+  - `train` for 2 epochs, every architecture, with Adam at the defaults on
+    the plain preparation and with SGD at lr 0.05, dropout 0.3 and
+    --select-best-by validation_loss on the stratified one;
+  - `prepare` of the same corpus at the default --max-len and --seed 3, and
+    one epoch of the LSTM on it: at --max-len 24 many records are cut to
+    the same length, so few recurrent steps run with a few rows, and a
+    change to the products of such steps could go unseen;
+  - `evaluate --split test` of every checkpoint, and `predict --text` of a
+    sentence and of a text made only of stopwords.
 
 The working tree then also runs `evaluate` and `predict` on REF's
 checkpoints, so a change that moves training's last bits can still show
@@ -39,12 +44,11 @@ import tarfile
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-ARCHITECTURES = ("cnn", "srnn", "lstm", "blstm")
-SETUPS = {"adam": [],
-          "sgd": ["--optimizer", "sgd", "--lr", "0.05", "--dropout", "0.3",
-                  "--select-best-by", "validation_loss"]}
-TEXT = "Engine caught fire during a routine training exercise over the base"
+from traffic import PREPARED as TRAFFIC_PREPARED, ROOT, SETUPS, TEXTS
+
+# importing traffic put the working tree's src/ and bench/ on sys.path
+import gen
+from aerotext.models import ARCHITECTURES
 
 
 def extract(ref: str, into: Path) -> Path:
@@ -56,16 +60,16 @@ def extract(ref: str, into: Path) -> Path:
 
 
 def write_corpus(into: Path) -> tuple[Path, Path]:
-    sys.path.insert(0, str(ROOT / "bench"))
-    import gen
     return gen.write(gen.generate(3), into)
 
 
-PREPARED = {"prepared": ["--max-len", "24"], "prepared-default": []}
+# prepared directory -> prepare options
+PREPARED = {name: ["--max-len", "24", *options] for name, options in TRAFFIC_PREPARED.items()}
+PREPARED["default"] = ["--seed", "3"]
 # run name -> (prepared directory, train options)
-RUNS = {f"{arch}-{setup}": ("prepared", ["--arch", arch, "--epochs", "2", *SETUPS[setup]])
-        for arch in ARCHITECTURES for setup in SETUPS}
-RUNS["lstm-default"] = ("prepared-default", ["--arch", "lstm", "--epochs", "1"])
+RUNS = {f"{arch}-{setup}": (prepared, ["--arch", arch, "--epochs", "2", *options])
+        for arch in ARCHITECTURES for setup, (prepared, options) in SETUPS.items()}
+RUNS["lstm-default"] = ("default", ["--arch", "lstm", "--epochs", "1"])
 
 
 def command_line(tree: Path, work: Path):
@@ -83,10 +87,11 @@ def command_line(tree: Path, work: Path):
 
 
 def score(cli, run: str, checkpoint: str, data: str) -> None:
-    """`evaluate --split test` and `predict --text` of one checkpoint."""
+    """`evaluate --split test` and `predict --text` of each text, of one checkpoint."""
     cli(f"{run}.evaluate.out", "evaluate", "--checkpoint", checkpoint,
         "--data", data, "--split", "test", "--out", f"{run}/evaluate")
-    cli(f"{run}.predict.out", "predict", "--checkpoint", checkpoint, "--text", TEXT)
+    for name, text in TEXTS.items():
+        cli(f"{run}.predict-{name}.out", "predict", "--checkpoint", checkpoint, "--text", text)
 
 
 def run_tree(tree: Path, work: Path, csv: Path, mapping: Path) -> None:
@@ -95,7 +100,7 @@ def run_tree(tree: Path, work: Path, csv: Path, mapping: Path) -> None:
     cli = command_line(tree, work)
     for prepared, options in PREPARED.items():
         cli(f"{prepared}.out", "prepare", "--input", str(csv), "--mapping", str(mapping),
-            "--seed", "3", *options, "--out", prepared)
+            *options, "--out", prepared)
     for run, (prepared, options) in RUNS.items():
         print(f"{tree.name}: {run}", file=sys.stderr, flush=True)
         cli(f"{run}.train.out", "train", "--data", prepared, *options, "--seed", "3",

@@ -44,12 +44,15 @@ import gen  # noqa: E402
 ROWS = 400
 DIMS = ["--embedding-dim", "8", "--hidden-units", "8", "--head-units", "8",
         "--conv-filters", "8", "--conv-kernel", "3"]
+# The traffic, shared with scripts/parity.py: prepare options by directory
+# (each at --max-len 24), the train setups, and the texts given to predict.
 PREPARED = {"plain": [], "stratified": ["--seed", "3", "--stratify", "--truncate", "tail"]}
 # setup -> (prepared directory, train options)
 SETUPS = {"adam": ("plain", []),
           "sgd": ("stratified", ["--optimizer", "sgd", "--lr", "0.05", "--dropout", "0.3",
                                  "--select-best-by", "validation_loss"])}
-TEXT = "Engine caught fire during a routine training exercise over the base"
+TEXTS = {"sentence": "Engine caught fire during a routine training exercise over the base",
+         "stopwords": "the and of"}
 
 
 def code_lines(path: Path) -> set[int]:
@@ -117,8 +120,8 @@ def pipeline(work: Path) -> None:
             checkpoint = str(run / "checkpoint.atxc")
             run_cli("evaluate", "--checkpoint", checkpoint, "--data", str(work / data),
                     "--out", str(run / "evaluate"))
-            run_cli("predict", "--checkpoint", checkpoint, "--text", TEXT)
-            run_cli("predict", "--checkpoint", checkpoint, "--text", "the and of")
+            for text in TEXTS.values():
+                run_cli("predict", "--checkpoint", checkpoint, "--text", text)
     api(work / "stratified", work / "api")
 
 
@@ -142,8 +145,8 @@ def api(data: Path, out: Path) -> None:
     training.save_checkpoint(checkpoint, out / "checkpoint.atxc")
     loaded = training.load_checkpoint(out / "checkpoint.atxc")
     predictor = metrics.Predictor(loaded)
-    predictor.predict(TEXT)
-    predictor.probs(TEXT)
+    predictor.predict(TEXTS["sentence"])
+    predictor.probs(TEXTS["sentence"])
     counts, report = metrics.evaluate_model(loaded, parts["test"])
     metrics.export_reports(report, counts, history, out / "reports", model_name="lstm")
 

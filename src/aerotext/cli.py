@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -271,9 +272,9 @@ def cmd_train(args) -> int:
                 dict(SPLIT_FILES, vocab="vocab.tsv", stopwords="stopwords.txt",
                      prepare_manifest="manifest.json").items()},
         config={"model": model_config.to_json_dict(),
-                "train": {"learning_rate": args.lr, "batch_size": args.batch_size,
-                          "epochs": args.epochs, "optimizer": args.optimizer,
-                          "select_best_by": args.select_best_by}},
+                # the seed is recorded at the manifest's top level
+                "train": {key: value for key, value in asdict(train_config).items()
+                          if key != "seed"}},
         outputs={"checkpoint": str(ckpt_path), "history": str(out_dir / "history.csv")},
         extra={"blas": _blas()})
 
@@ -282,8 +283,7 @@ def cmd_train(args) -> int:
                                 truncate=prepared["truncate"])
 
     training.save_checkpoint(checkpoint, ckpt_path)
-    (out_dir / "history.csv").write_text(training.history_to_csv(history),
-                                         encoding="utf-8")
+    training.write_history(out_dir / "history.csv", history)
 
     final = history[-1]
     print(jsonio.dumps({"epoch": final.epoch, "train_loss": final.train_loss,

@@ -113,6 +113,3 @@ class EmptyInput(AerotextError):
 class EmptyMatrix(AerotextError):
     pass
 
-
-class IoFailure(AerotextError):
-    pass

@@ -15,11 +15,11 @@ from typing import Sequence
 
 import numpy as np
 
-from . import jsonio, models, training
+from . import jsonio, models
 from .corpus import LabeledRecord, OperatorClass, write_csv
-from .errors import EmptyInput, EmptyMatrix, IoFailure, LengthMismatch
+from .errors import EmptyInput, EmptyMatrix, LengthMismatch
 from .textprep import TokenSequence, cleanse_text, encode_sequence
-from .training import EpochRecord, ModelCheckpoint
+from .training import EpochRecord, ModelCheckpoint, write_history
 
 CLASS_NAMES = tuple(c.label for c in OperatorClass)
 MATRIX_ORIENTATION = "rows=actual,columns=predicted"
@@ -171,25 +171,22 @@ def export_reports(report: ClassificationReport, counts: np.ndarray,
     paths by key. All outputs re-parse losslessly."""
     directory = Path(directory)
     blob = jsonio.dumps(report_json_dict(report, counts, model_name))
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-        paths = {
-            "report": directory / "report.json",
-            "per_class": directory / "per_class_metrics.csv",
-            "macro": directory / "macro_summary.csv",
-        }
-        paths["report"].write_text(blob + "\n", encoding="utf-8")
-        if history:
-            paths["history"] = directory / "history.csv"
-            paths["history"].write_text(training.history_to_csv(history), encoding="utf-8")
+    directory.mkdir(parents=True, exist_ok=True)
+    paths = {
+        "report": directory / "report.json",
+        "per_class": directory / "per_class_metrics.csv",
+        "macro": directory / "macro_summary.csv",
+    }
+    paths["report"].write_text(blob + "\n", encoding="utf-8")
+    if history:
+        paths["history"] = directory / "history.csv"
+        write_history(paths["history"], history)
 
-        write_csv(paths["per_class"], ["model", "class", "precision", "recall", "f1"],
-                  ([model_name, name, repr(m.precision), repr(m.recall), repr(m.f1)]
-                   for name, m in zip(CLASS_NAMES, report.per_class)))
-        write_csv(paths["macro"], ["model", "macro_precision", "macro_recall", "macro_f1",
-                                   "accuracy"],
-                  [[model_name, repr(report.macro_precision), repr(report.macro_recall),
-                    repr(report.macro_f1), repr(report.accuracy)]])
-        return paths
-    except OSError as exc:
-        raise IoFailure(f"failed writing reports to {directory}: {exc}") from None
+    write_csv(paths["per_class"], ["model", "class", "precision", "recall", "f1"],
+              ([model_name, name, repr(m.precision), repr(m.recall), repr(m.f1)]
+               for name, m in zip(CLASS_NAMES, report.per_class)))
+    write_csv(paths["macro"], ["model", "macro_precision", "macro_recall", "macro_f1",
+                               "accuracy"],
+              [[model_name, repr(report.macro_precision), repr(report.macro_recall),
+                repr(report.macro_f1), repr(report.accuracy)]])
+    return paths

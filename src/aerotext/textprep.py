@@ -17,9 +17,8 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import jsonio
 from .errors import EmptyCorpus, InvalidConfig, MalformedCsv, read_utf8, read_utf8_lines
@@ -56,21 +55,16 @@ def cleanse_text(raw: str, stopwords: frozenset[str] | set[str] = frozenset()) -
     return " ".join([t for t in text.split() if t not in stopwords])
 
 
-def _parse_stopwords(lines: Iterable[str]) -> frozenset[str]:
-    """One stopword per line, stripped and lowercased; blank lines skipped."""
-    return frozenset(word for line in lines if (word := line.strip().lower()))
-
-
 def load_stopwords(path: str | Path) -> frozenset[str]:
-    """Read a newline-delimited UTF-8 stopword file."""
-    return _parse_stopwords(read_utf8_lines(path, InvalidConfig))
+    """Read a newline-delimited UTF-8 stopword file: one stopword per line,
+    stripped and lowercased; blank lines skipped."""
+    return frozenset(word for line in read_utf8_lines(path, InvalidConfig)
+                     if (word := line.strip().lower()))
 
 
 def default_stopwords() -> frozenset[str]:
     """The stopword list shipped with the package (~150 common English words)."""
-    return _parse_stopwords(io.StringIO(
-        resources.files("aerotext").joinpath("data/stopwords.txt").read_text("utf-8"),
-        newline=""))
+    return load_stopwords(Path(__file__).parent / "data" / "stopwords.txt")
 
 
 @dataclass

@@ -12,14 +12,14 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import BinaryIO, Mapping, Sequence
 
 import numpy as np
 
 from . import jsonio, models
-from .corpus import LabeledRecord, SplitDataset
+from .corpus import LabeledRecord, SplitDataset, write_csv
 from .errors import (
     CorruptCheckpoint,
     EmptySplit,
@@ -206,47 +206,42 @@ def _text(buf: bytes, at: int) -> tuple[str, int]:
     return buf[at:end].decode("utf-8"), end
 
 
-def save_checkpoint(ckpt: ModelCheckpoint, sink: str | Path | BinaryIO) -> None:
+def save_checkpoint(ckpt: ModelCheckpoint, path: str | Path) -> None:
     """Binary layout: magic ATXC, u32 version, length-prefixed canonical
     JSON metadata, length-prefixed vocabulary TSV, then named tensors in
     the tensor layout above. Little-endian throughout."""
-    if isinstance(sink, (str, Path)):
-        with open(sink, "wb") as handle:
-            save_checkpoint(ckpt, handle)
-        return
     meta = dict(ckpt.config.to_json_dict(), epoch=ckpt.epoch,
                 truncate=ckpt.truncate, stopwords=sorted(ckpt.stopwords))
     meta_blob = jsonio.dumps(meta).encode("utf-8")
     vocab_blob = ckpt.vocab.to_tsv().encode("utf-8")
-    sink.write(CHECKPOINT_MAGIC)
-    sink.write(struct.pack("<I", CHECKPOINT_VERSION))
-    sink.write(struct.pack("<Q", len(meta_blob)))
-    sink.write(meta_blob)
-    sink.write(struct.pack("<Q", len(vocab_blob)))
-    sink.write(vocab_blob)
-    names = sorted(ckpt.tensors)
-    sink.write(struct.pack("<I", len(names)))
-    for name in names:
-        encoded = name.encode("utf-8")
-        sink.write(struct.pack("<Q", len(encoded)))
-        sink.write(encoded)
-        write_tensor(sink, ckpt.tensors[name])
+    with open(path, "wb") as sink:
+        sink.write(CHECKPOINT_MAGIC)
+        sink.write(struct.pack("<I", CHECKPOINT_VERSION))
+        sink.write(struct.pack("<Q", len(meta_blob)))
+        sink.write(meta_blob)
+        sink.write(struct.pack("<Q", len(vocab_blob)))
+        sink.write(vocab_blob)
+        names = sorted(ckpt.tensors)
+        sink.write(struct.pack("<I", len(names)))
+        for name in names:
+            encoded = name.encode("utf-8")
+            sink.write(struct.pack("<Q", len(encoded)))
+            sink.write(encoded)
+            write_tensor(sink, ckpt.tensors[name])
 
 
-def load_checkpoint(source: str | Path | BinaryIO) -> ModelCheckpoint:
-    """Load a checkpoint from a path or any binary stream. It reads the magic,
-    then the rest in one read, and parses every field from those bytes, each
-    length checked against the bytes left before a field of that size is read.
-    The last tensor must end the file: trailing bytes are refused."""
-    if isinstance(source, (str, Path)):
-        # unbuffered: after read(4), a buffered reader's read() joins its
-        # read-ahead to the rest, one more copy of the file (half the load time)
-        with open(source, "rb", buffering=0) as handle:
-            return load_checkpoint(handle)
-    magic = source.read(4)
-    if magic != CHECKPOINT_MAGIC:
-        raise CorruptCheckpoint(f"bad magic {magic!r}")
-    buf = source.read()
+def load_checkpoint(path: str | Path) -> ModelCheckpoint:
+    """Load the checkpoint file at `path`, which may name a pipe. It reads the
+    magic, then the rest in one read, and parses every field from those bytes,
+    each length checked against the bytes left before a field of that size is
+    read. The last tensor must end the file: trailing bytes are refused."""
+    # unbuffered: after read(4), a buffered reader's read() joins its
+    # read-ahead to the rest, one more copy of the file (half the load time)
+    with open(path, "rb", buffering=0) as source:
+        magic = source.read(4)
+        if magic != CHECKPOINT_MAGIC:
+            raise CorruptCheckpoint(f"bad magic {magic!r}")
+        buf = source.read()
     try:
         version, at = _unpack("<I", buf, 0)
         if version != CHECKPOINT_VERSION:
@@ -265,14 +260,14 @@ def load_checkpoint(source: str | Path | BinaryIO) -> ModelCheckpoint:
     if at != len(buf):
         raise CorruptCheckpoint(f"{len(buf) - at} bytes after the last tensor")
 
-    if not isinstance(meta, dict):
+    if type(meta) is not dict:  # json.loads gives exact types
         raise CorruptCheckpoint(f"metadata is a JSON {type(meta).__name__}, not an object")
     missing = [key for key in CHECKPOINT_KEYS if key not in meta]
     if missing:
         raise CorruptCheckpoint(f"metadata has no {', '.join(missing)}")
     epoch, truncate, stopwords = meta.pop("epoch"), meta.pop("truncate"), meta.pop("stopwords")
     if type(epoch) is not int or truncate not in TRUNCATE or not (
-            isinstance(stopwords, list) and all(isinstance(w, str) for w in stopwords)):
+            type(stopwords) is list and all(type(w) is str for w in stopwords)):
         raise CorruptCheckpoint(f"bad embedded metadata: epoch must be an integer, truncate one "
                                 f"of {TRUNCATE} and stopwords a list of strings; got epoch "
                                 f"{epoch!r}, truncate {truncate!r}")
@@ -398,13 +393,10 @@ def _dropout_masks(config: ModelConfig, rng: np.random.Generator,
 
 # --- history CSV ------------------------------------------------------------------
 
-HISTORY_HEADER = "epoch,train_loss,train_acc,val_loss,val_acc"
+HISTORY_HEADER = ("epoch", "train_loss", "train_acc", "val_loss", "val_acc")
 
 
-def history_to_csv(history: Sequence[EpochRecord]) -> str:
-    lines = [HISTORY_HEADER]
-    for r in history:
-        lines.append(f"{r.epoch},{r.train_loss!r},{r.train_accuracy!r},"
-                     f"{r.validation_loss!r},{r.validation_accuracy!r}")
-    return "\n".join(lines) + "\n"
-
+def write_history(path: str | Path, history: Sequence[EpochRecord]) -> None:
+    """One row per epoch, the fields of EpochRecord in order; the csv module
+    writes a float as its repr, so the values re-parse exactly."""
+    write_csv(path, HISTORY_HEADER, (astuple(record) for record in history))

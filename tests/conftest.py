@@ -98,7 +98,7 @@ def gradient_check(loss_and_grads, params, epsilon=1e-5):
 
 def history_from_csv(text: str) -> list[EpochRecord]:
     """The records of a `history.csv` text, the inverse of
-    `training.history_to_csv`."""
+    `training.write_history`."""
     records = []
     for line in [ln for ln in text.splitlines() if ln.strip()][1:]:
         epoch, tl, ta, vl, va = line.split(",")

@@ -9,6 +9,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -591,6 +592,20 @@ def test_nan_in_a_report_exits_1_and_writes_nothing(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
+def test_report_write_failure_exits_1_naming_the_path(tmp_path, capsys):
+    prepared = prepare_dir(tmp_path, capsys)
+    run_dir, _ = train_dir(tmp_path, capsys, prepared, epochs="1")
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file, not a directory\n")
+    out = blocker / "eval"
+    code, stdout, err = run(["evaluate", "--checkpoint", str(run_dir / "checkpoint.atxc"),
+                             "--data", str(prepared), "--out", str(out)], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1, err
+    assert str(out) in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_json_refuses_non_finite_values(value):
     with pytest.raises(NonfiniteValue):
@@ -692,9 +707,11 @@ def tiny_checkpoint_bytes(arch):
                                 head_units=3, max_len=6, conv_filters=3, conv_kernel=2)
     vocab = fit_vocabulary(["engine fire on approach", "pilot error wind"], max_size=8)
     tensors = models.checkpoint_views(config, models.init_params(config, seed=1))
-    buf = io.BytesIO()
-    save_checkpoint(ModelCheckpoint(config, vocab, frozenset({"the"}), "head", tensors, 1), buf)
-    return buf.getvalue()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "tiny.atxc"
+        save_checkpoint(ModelCheckpoint(config, vocab, frozenset({"the"}), "head", tensors, 1),
+                        path)
+        return path.read_bytes()
 
 
 @st.composite
@@ -722,15 +739,15 @@ def edited_checkpoints(draw):
 def test_edited_checkpoint_bytes_predict_or_fail_with_one_error_line(edited, tmp_path, capsys):
     # in process: finite probabilities that sum to 1, or the package's own error
     blob, refused = edited
+    path = tmp_path / "edited.atxc"
+    path.write_bytes(blob)
     try:
-        _, probs = metrics.Predictor(load_checkpoint(io.BytesIO(blob))).predict(FUZZ_TEXT)
+        _, probs = metrics.Predictor(load_checkpoint(path)).predict(FUZZ_TEXT)
     except AerotextError:
         pass
     else:
         assert not refused
         assert np.isfinite(probs).all() and abs(probs.sum() - 1.0) < 1e-12, probs
-    path = tmp_path / "edited.atxc"
-    path.write_bytes(blob)
     code, stdout, err = run(["predict", "--checkpoint", str(path), "--text", FUZZ_TEXT], capsys)
     if code == 0:
         assert not refused

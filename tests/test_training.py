@@ -1,6 +1,8 @@
 import io
 import math
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -485,12 +487,30 @@ class TestSerialization:
 GARBLED_LENGTHS = ["metadata-length", "tensor-rank", "tensor-count"]
 
 
-class ReadSizes(io.BytesIO):
-    """A stream that records the size asked of each read()."""
+def checkpoint_bytes(ckpt, tmp_path):
+    path = tmp_path / "saved.atxc"
+    save_checkpoint(ckpt, path)
+    return path.read_bytes()
 
-    def __init__(self, blob):
-        super().__init__(blob)
+
+def load_bytes(blob, tmp_path):
+    path = tmp_path / "edited.atxc"
+    path.write_bytes(blob)
+    return load_checkpoint(path)
+
+
+class ReadSizes:
+    """The file the loader opens, recording the size asked of each read()."""
+
+    def __init__(self, handle):
+        self.handle = handle
         self.sizes = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
 
     @property
     def largest(self):
@@ -498,20 +518,23 @@ class ReadSizes(io.BytesIO):
 
     def read(self, n=-1):
         self.sizes.append(n)
-        return super().read(n)
+        return self.handle.read(n)
+
+    def __getattr__(self, name):
+        return getattr(self.handle, name)
 
 
-class Unseekable(ReadSizes):
-    """A stream that can only be read forward, as a pipe is."""
+@pytest.fixture
+def opened(monkeypatch):
+    """Each file `training` opens, as a ReadSizes, in order."""
+    files = []
 
-    def seekable(self):
-        return False
+    def recording_open(*args, **kwargs):
+        files.append(ReadSizes(open(*args, **kwargs)))
+        return files[-1]
 
-    def seek(self, *args):
-        raise io.UnsupportedOperation("seek")
-
-    def tell(self):
-        raise io.UnsupportedOperation("tell")
+    monkeypatch.setattr(training, "open", recording_open, raising=False)
+    return files
 
 
 class TestCheckpointIo:
@@ -537,27 +560,23 @@ class TestCheckpointIo:
         for name in ckpt.tensors:
             np.testing.assert_array_equal(loaded.tensors[name], ckpt.tensors[name])
 
-    def test_save_is_deterministic(self):
+    def test_save_is_deterministic(self, tmp_path):
         ckpt = self.make_checkpoint()
-        a, b = io.BytesIO(), io.BytesIO()
+        a, b = tmp_path / "a.atxc", tmp_path / "b.atxc"
         save_checkpoint(ckpt, a)
         save_checkpoint(ckpt, b)
-        assert a.getvalue() == b.getvalue()
+        assert a.read_bytes() == b.read_bytes()
 
     def test_truncated_file_is_corrupt(self, tmp_path):
-        ckpt = self.make_checkpoint()
-        buf = io.BytesIO()
-        save_checkpoint(ckpt, buf)
-        for cut in (2, 10, len(buf.getvalue()) - 3):
+        blob = checkpoint_bytes(self.make_checkpoint(), tmp_path)
+        for cut in (2, 10, len(blob) - 3):
             with pytest.raises(CorruptCheckpoint):
-                load_checkpoint(io.BytesIO(buf.getvalue()[:cut]))
+                load_bytes(blob[:cut], tmp_path)
 
-    def garbled_length(self, field):
+    def garbled_length(self, field, tmp_path):
         ckpt = self.make_checkpoint()
         ckpt.tensors = {"a": np.zeros((2, 2))}  # the file ends in name, rank 2, dims, 4 values
-        buf = io.BytesIO()
-        save_checkpoint(ckpt, buf)
-        blob = buf.getvalue()
+        blob = checkpoint_bytes(ckpt, tmp_path)
         if field == "metadata-length":
             return blob[:8] + struct.pack("<Q", 2**40) + blob[16:]
         if field == "tensor-rank":
@@ -565,47 +584,63 @@ class TestCheckpointIo:
         return blob[:-48] + struct.pack("<2Q", 2**20, 2**20)
 
     @pytest.mark.parametrize("field", GARBLED_LENGTHS)
-    def test_length_past_the_end_is_refused_before_it_is_read(self, field):
-        blob = self.garbled_length(field)
-        source = ReadSizes(blob)
+    def test_length_past_the_end_is_refused_before_it_is_read(self, field, tmp_path, opened):
+        blob = self.garbled_length(field, tmp_path)
+        path = tmp_path / "garbled.atxc"
+        path.write_bytes(blob)
+        opened.clear()
         with pytest.raises(CorruptCheckpoint):
-            load_checkpoint(source)
+            load_checkpoint(path)
+        (source,) = opened
         assert source.largest <= len(blob)
         assert len(source.sizes) == 2 and source.sizes[0] == 4  # the magic, then the rest
 
-    @pytest.mark.parametrize("field", GARBLED_LENGTHS)
-    def test_length_past_the_end_of_an_unseekable_stream_is_refused(self, field):
-        blob = self.garbled_length(field)
-        source = Unseekable(blob)
-        with pytest.raises(CorruptCheckpoint):
-            load_checkpoint(source)
-        assert source.largest <= len(blob)
-        assert len(source.sizes) == 2 and source.sizes[0] == 4  # the magic, then the rest
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+    def test_checkpoint_is_read_from_a_named_pipe(self, tmp_path):
+        ckpt = self.make_checkpoint()
+        garbled = self.garbled_length("metadata-length", tmp_path)
+        for name, write in (("saved", lambda fifo: save_checkpoint(ckpt, fifo)),
+                            ("garbled", lambda fifo: fifo.write_bytes(garbled))):
+            fifo = tmp_path / f"{name}.fifo"
+            os.mkfifo(fifo)
+            writer = threading.Thread(target=write, args=(fifo,), daemon=True)
+            writer.start()
+            try:
+                if name == "saved":
+                    loaded = load_checkpoint(fifo)
+                    assert loaded.config == ckpt.config and loaded.epoch == 4
+                    for key in ckpt.tensors:
+                        np.testing.assert_array_equal(loaded.tensors[key], ckpt.tensors[key])
+                else:
+                    with pytest.raises(CorruptCheckpoint):
+                        load_checkpoint(fifo)
+            finally:
+                writer.join(timeout=30)
+            assert not writer.is_alive()
 
-    def test_bad_magic(self):
+    def test_bad_magic(self, tmp_path):
         with pytest.raises(CorruptCheckpoint):
-            load_checkpoint(io.BytesIO(b"NOPE" + b"\x00" * 64))
+            load_bytes(b"NOPE" + b"\x00" * 64, tmp_path)
 
-    def test_bad_magic_is_refused_after_four_bytes(self):
-        source = ReadSizes(b"NOPE" + b"\x00" * (1 << 20))
+    def test_bad_magic_is_refused_after_four_bytes(self, tmp_path, opened):
+        path = tmp_path / "nope.atxc"
+        path.write_bytes(b"NOPE" + b"\x00" * (1 << 20))
         with pytest.raises(CorruptCheckpoint, match="bad magic"):
-            load_checkpoint(source)
+            load_checkpoint(path)
+        (source,) = opened
         assert source.sizes == [4]
 
-    def test_unsupported_version(self):
-        ckpt = self.make_checkpoint()
-        buf = io.BytesIO()
-        save_checkpoint(ckpt, buf)
-        raw = bytearray(buf.getvalue())
+    def test_unsupported_version(self, tmp_path):
+        raw = bytearray(checkpoint_bytes(self.make_checkpoint(), tmp_path))
         raw[4:8] = (99).to_bytes(4, "little")
         with pytest.raises(VersionUnsupported):
-            load_checkpoint(io.BytesIO(bytes(raw)))
+            load_bytes(bytes(raw), tmp_path)
 
     @pytest.mark.parametrize("fault", ["shape", "missing", "extra", "duplicate-id",
                                        "padding-id", "id-past-table", "non-integer-id",
                                        "nan", *METADATA_FAULTS, "repeated-token"])
     @pytest.mark.parametrize("arch", models.ARCHITECTURES)
-    def test_shape_mismatch_is_corrupt(self, arch, fault):
+    def test_shape_mismatch_is_corrupt(self, arch, fault, tmp_path):
         ckpt = self.make_checkpoint(arch)
         ids = ckpt.vocab.token_to_id
         if fault == "shape":
@@ -631,25 +666,21 @@ class TestCheckpointIo:
         if fault in ("shape", "missing", "extra"):
             with pytest.raises(ShapeMismatch):
                 models.check_parameter_shapes(ckpt.config, ckpt.tensors)
-        buf = io.BytesIO()
-        save_checkpoint(ckpt, buf)
-        blob = buf.getvalue()
+        blob = checkpoint_bytes(ckpt, tmp_path)
         if fault in METADATA_FAULTS:
             blob = edit_checkpoint_metadata(blob, METADATA_FAULTS[fault])
         with pytest.raises(CorruptCheckpoint):
-            load_checkpoint(io.BytesIO(blob))
+            load_bytes(blob, tmp_path)
 
     @pytest.mark.parametrize("key", ["epoch", "truncate", "stopwords", "arch", "vocab_size",
                                      "embedding_dim", "hidden_units", "head_units",
                                      "num_classes", "max_len", "conv_filters", "conv_kernel",
                                      "dropout_rate"])
-    def test_missing_metadata_key_is_named(self, key):
-        buf = io.BytesIO()
-        save_checkpoint(self.make_checkpoint("cnn"), buf)
-        blob = edit_checkpoint_metadata(buf.getvalue(),
+    def test_missing_metadata_key_is_named(self, key, tmp_path):
+        blob = edit_checkpoint_metadata(checkpoint_bytes(self.make_checkpoint("cnn"), tmp_path),
                                         lambda meta: {k: v for k, v in meta.items() if k != key})
         with pytest.raises(CorruptCheckpoint, match=f"^metadata has no {key}$"):
-            load_checkpoint(io.BytesIO(blob))
+            load_bytes(blob, tmp_path)
 
     @pytest.mark.parametrize("arch", models.ARCHITECTURES)
     def test_params_round_trip_through_checkpoint(self, tmp_path, arch):
@@ -668,9 +699,17 @@ class TestCheckpointIo:
 
 
 class TestHistoryCsv:
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         history = [EpochRecord(1, 1.0986, 0.3333333333333333, 1.1, 0.25),
                    EpochRecord(2, 0.5, 0.75, 0.6, 2 / 3)]
-        text = training.history_to_csv(history)
+        path = tmp_path / "history.csv"
+        training.write_history(path, history)
+        text = path.read_text(encoding="utf-8")
         assert text.splitlines()[0] == "epoch,train_loss,train_acc,val_loss,val_acc"
         assert history_from_csv(text) == history
+
+    def test_floats_are_written_as_their_repr(self, tmp_path):
+        path = tmp_path / "history.csv"
+        training.write_history(path, [EpochRecord(3, 1.1e-17, 2 / 3, 1e16, 0.1)])
+        assert path.read_bytes() == (b"epoch,train_loss,train_acc,val_loss,val_acc\n"
+                                     b"3,1.1e-17,0.6666666666666666,1e+16,0.1\n")
