@@ -131,10 +131,14 @@ MUTANTS = [
     Mutant("lstm-backward-drops-forget-gate", "src/aerotext/models.py",
            "\n                dc[:n] *= f", "",
            "the LSTM backward passes the cell gradient on without the forget gate"),
-    Mutant("step-weight-for-one-row", "src/aerotext/models.py",
-           "w_h_t if n > 1 else w_h.T", "w_h_t if n > 0 else w_h.T",
-           "a one-row training step product against the contiguous w_h copy, not the "
-           "scorer's gemv, so a batch of one no longer trains as it scores"),
+    Mutant("step-product-plain-gemm", "src/aerotext/models.py",
+           "np.matmul(h_blocks[:blocks], w_h, out=product_blocks[:blocks])",
+           "np.matmul(h[:n], w_h, out=product[:n])",
+           "a step's running rows multiplied as one plain gemm, whose rows change in their "
+           "last bits with the row count, so a record's scores depend on its batch"),
+    Mutant("gates-not-halved", "src/aerotext/models.py",
+           "    sigmoid *= 0.5\n    np.tanh(a, out=a)\n", "    np.tanh(a, out=a)\n",
+           "the sigmoid gates taken as 1/2 + tanh(z)/2, without halving z"),
     Mutant("cell-state-saved-after-forget", "src/aerotext/models.py",
            "            if train:\n                c_in[s:e] = c[:n]\n            c[:n] *= f\n",
            "            c[:n] *= f\n            if train:\n                c_in[s:e] = c[:n]\n",

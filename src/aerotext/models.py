@@ -21,42 +21,46 @@ State updates:
 
 Training holds the parameters as one float64 vector in `parameter_table`
 order; the layers read them through a dict of views keyed by the table
-names (`parameter_views`). An LSTM cell is one (4H, H+d) matrix and one 4H
-bias with the gates fused in f, i, o, g order (Appleyard et al.,
-arXiv:1604.01946); only the checkpoint keeps one tensor per gate, its
-consecutive row blocks (`checkpoint_views`, `fuse_checkpoint`). Each
-layer function returns its output and a closure, `back`, that maps the
-gradient of that output to the gradients of the layer's input and
-parameters. `loss_and_grads` chains the layers over a training batch; its
-loss, like that of training's scoring pass, is `cross_entropy`. The
-embedding table's gradient is in row form, `(rows, values)`: the distinct
-ids the batch read and one gradient row each, every other row being zero.
-A batch reads a few hundred of the table's ~10k rows, so the backward never
-builds the dense table, and the optimizers skip the rows no batch has read.
-There is one forward and one flag: `encode_features`, the encoders and
-`head_logits` take `train`, and with train=False back is None. `score` runs
-them so over any number of records and gives each record bit-for-bit the
-probabilities it gets when scored alone; `forward_probs` is `score` on one
-record.
+names (`parameter_views`). A recurrent cell is held transposed: one
+(H+d, G*H) matrix [w_hᵀ; w_xᵀ], whose two row blocks are the contiguous
+right-hand operands of its step and input products, and one G*H bias. An
+LSTM's four gates are fused in f, i, o, g order (Appleyard et al.,
+arXiv:1604.01946). Only the checkpoint keeps the untransposed matrix, one
+tensor per gate: a column block of the held matrix, viewed transposed
+(`checkpoint_views`, `fuse_checkpoint`). Each layer function returns its
+output and a closure, `back`, that maps the gradient of that output to the
+gradients of the layer's input and parameters. `loss_and_grads` chains the
+layers over a training batch; its loss, like that of training's scoring
+pass, is `cross_entropy`. The embedding table's gradient is in row form,
+`(rows, values)`: the distinct ids the batch read and one gradient row
+each, every other row being zero. A batch reads a few hundred of the
+table's ~10k rows, so the backward never builds the dense table, and the
+optimizers skip the rows no batch has read. There is one forward and one
+flag: `encode_features`, the encoders and `head_logits` take `train`, and
+with train=False back is None. `score` runs them so over any number of
+records and gives each record bit-for-bit the probabilities it gets when
+scored alone; `forward_probs` is `score` on one record.
 
 Recurrent layers are length-packed: the batch is sorted longest first and
 laid out step-major, so step t touches only the rows still running.
 Training computes the input projection of every step as one matrix product
-before the loop and each step as one more, and keeps the state its
-backward reads. Scoring cannot use those products: a row of a (B, K) @
-(K, N) BLAS product can change in its last bits with B (with OpenBLAS
-0.3.31 it does for B < 5 at the default sizes and for larger B at smaller
-ones). So with train=False each record's input projection is one product
-on that record's rows, the product a batch of one makes, the step and head
-products are row by row (`_rowwise`, one gemv per row), and no state is
-kept. No recurrent step allocates: each call makes its scratch arrays once
-and every elementwise result is written into them or into the state, in the
-formulas' order of operations; the backward takes the factors that do not
-depend on the incoming gradient for all steps at once. A training step product of two or more rows
-is taken against one contiguous copy of w_hᵀ, made once per call, since
-OpenBLAS takes a slow path for a few rows times the strided view; a
-one-row product stays the scorer's gemv on the view. So training's last
-bits differ from revisions before that copy, and scoring's do not.
+before the loop, and keeps the state its backward reads. Scoring cannot use
+that product: a row of a (B, K) @ (K, N) BLAS product can change in its
+last bits with B (with OpenBLAS 0.3.31 it does for B < 5 at the default
+sizes and for larger B at smaller ones). So with train=False each record's
+input projection is one product on that record's rows, the product a batch
+of one makes, the head products are row by row (`_rowwise`, one gemv per
+row), and no state is kept. Every step product, in training and in
+scoring, is taken in fixed blocks of STEP_BLOCK rows, one gemm per block
+against the contiguous w_hᵀ: a row of such a block has the same bits
+whatever the other rows hold, so a record's state is the same in any
+batch, and the step weight is read once per block, not once per row. The
+LSTM's sigmoid gates are 1/2 + tanh(z/2)/2, taken with one tanh over the
+fused row (`_lstm_gates`). No recurrent step allocates: each call makes its
+scratch arrays once and every elementwise result is written into them or
+into the state, in the formulas' order of operations; the backward takes
+the factors that do not depend on the incoming gradient for all steps at
+once.
 
 The CNN is k shifted matrix products, a ReLU and a max-pool (Kim,
 arXiv:1408.5882). Every window past a record's last non-padding id reads
@@ -136,8 +140,16 @@ class ParamSpec:
     checkpoint names of its equal row blocks if the checkpoint stores them
     as tensors of their own (`parts`, an LSTM cell's gates).
 
+    A recurrent cell's weight is held `transposed`: its (G*H, H+d) matrix
+    [W_h W_x] is stored as the (H+d, G*H) matrix [W_hᵀ; W_xᵀ], whose row
+    blocks w_hᵀ and w_xᵀ are the contiguous right-hand operands of the
+    step and input products. `shape` is the shape held; the checkpoint
+    keeps the untransposed matrix (`stored`), cut into its gates' row
+    blocks if it has parts.
+
     `init` is one of
-      "glorot"       uniform within sqrt(6/(fan_in+fan_out)), fans given
+      "glorot"       uniform within sqrt(6/(fan_in+fan_out)), fans given;
+                     a transposed tensor draws its untransposed matrix
       "embedding"    uniform in +-0.05, except the padding row 0, which
                      starts at zero so padded positions contribute nothing
                      to the convolution until trained
@@ -151,17 +163,29 @@ class ParamSpec:
     init: str
     fans: tuple[int, int] | None = None
     parts: tuple[str, ...] = ()
+    transposed: bool = False
+
+    def stored_views(self, array: np.ndarray) -> Params:
+        """The checkpoint tensors of `array`, a tensor of this spec, as views
+        of it: the untransposed matrix, or its row blocks if it has parts."""
+        names = self.parts or (self.name,)
+        rows = array.T if self.transposed else array
+        size = len(rows) // len(names)
+        return {name: rows[k * size:(k + 1) * size] for k, name in enumerate(names)}
 
     @property
     def stored(self) -> dict[str, tuple[int, ...]]:
-        """Its checkpoint names and shapes, in row order."""
-        names = self.parts or (self.name,)
-        return {name: (self.shape[0] // len(names), *self.shape[1:]) for name in names}
+        """Its checkpoint names and shapes, in row order (the views of a
+        zero-stride array, so nothing is allocated)."""
+        return {name: view.shape
+                for name, view in self.stored_views(np.broadcast_to(0.0, self.shape)).items()}
 
     def initial(self, rng: np.random.Generator) -> np.ndarray:
         if self.init == "glorot":
             fan_in, fan_out = self.fans
             bound = math.sqrt(6.0 / (fan_in + fan_out))
+            if self.transposed:
+                return rng.uniform(-bound, bound, self.shape[::-1]).T
             return rng.uniform(-bound, bound, self.shape)
         if self.init == "embedding":
             table = rng.uniform(-0.05, 0.05, self.shape)
@@ -184,15 +208,15 @@ def parameter_table(config: ModelConfig) -> list[ParamSpec]:
     k, f, feat = config.conv_kernel, config.conv_filters, config.feature_size
 
     def lstm(prefix: str) -> list[ParamSpec]:
-        return [ParamSpec(f"{prefix}.w", (4 * h, h + d), "glorot", (h + d, h),
-                          tuple(f"{prefix}.w_{g}" for g in LSTM_GATES)),
+        return [ParamSpec(f"{prefix}.w", (h + d, 4 * h), "glorot", (h + d, h),
+                          tuple(f"{prefix}.w_{g}" for g in LSTM_GATES), transposed=True),
                 ParamSpec(f"{prefix}.b", (4 * h,), "forget_bias",
                           parts=tuple(f"{prefix}.b_{g}" for g in LSTM_GATES))]
 
     cells = {
         "cnn": [ParamSpec("cnn.filters", (k, d, f), "glorot", (k * d, f)),
                 ParamSpec("cnn.bias", (f,), "zeros")],
-        "srnn": [ParamSpec("srnn.w", (h, h + d), "glorot", (h + d, h)),
+        "srnn": [ParamSpec("srnn.w", (h + d, h), "glorot", (h + d, h), transposed=True),
                  ParamSpec("srnn.b", (h,), "zeros")],
         "lstm": lstm("lstm"),
         "blstm": lstm("blstm.fwd") + lstm("blstm.bwd"),
@@ -223,32 +247,40 @@ def check_parameter_shapes(config: ModelConfig, arrays: Mapping[str, np.ndarray]
             raise ShapeMismatch(f"{name}: expected shape {shape}, got {tuple(arrays[name].shape)}")
 
 
-def _views(flat: np.ndarray, shapes: Mapping[str, tuple[int, ...]]) -> Params:
-    """`flat` cut into consecutive row-major views, one per name and shape."""
-    views, start = {}, 0
-    for name, shape in shapes.items():
-        views[name] = flat[start:start + math.prod(shape)].reshape(shape)
-        start += math.prod(shape)
-    return views
-
-
 def parameter_views(config: ModelConfig, flat: np.ndarray) -> Params:
     """The parameters of a flat vector in table order, each a view of it."""
-    return _views(flat, {spec.name: spec.shape for spec in parameter_table(config)})
+    views, start = {}, 0
+    for spec in parameter_table(config):
+        size = math.prod(spec.shape)
+        views[spec.name] = flat[start:start + size].reshape(spec.shape)
+        start += size
+    return views
 
 
 def checkpoint_views(config: ModelConfig, flat: np.ndarray) -> Params:
     """The checkpoint tensors of a flat parameter vector without a copy: a
-    fused cell's gate tensors are its consecutive row blocks."""
-    return _views(flat, expected_parameter_shapes(config))
+    transposed cell's gate tensors are column blocks of the held matrix,
+    viewed transposed (`ParamSpec.stored_views`)."""
+    params = parameter_views(config, flat)
+    return {name: block for spec in parameter_table(config)
+            for name, block in spec.stored_views(params[spec.name]).items()}
 
 
 def fuse_checkpoint(config: ModelConfig, tensors: Mapping[str, np.ndarray]) -> Params:
     """The parameters of checkpoint tensors, after `check_parameter_shapes`:
-    each cell's gate blocks concatenated once, every other tensor as it is."""
+    a cell's tensors copied once into the matrix or bias that holds them, at
+    their places in it (`ParamSpec.stored_views`), every other tensor as it
+    is."""
     check_parameter_shapes(config, tensors)
-    return {spec.name: np.concatenate([tensors[name] for name in spec.parts]) if spec.parts
-            else tensors[spec.name] for spec in parameter_table(config)}
+    params = {}
+    for spec in parameter_table(config):
+        if spec.parts or spec.transposed:
+            params[spec.name] = np.empty(spec.shape)
+            for name, view in spec.stored_views(params[spec.name]).items():
+                view[...] = tensors[name]
+        else:
+            params[spec.name] = tensors[spec.name]
+    return params
 
 
 def init_params(config: ModelConfig, seed: int) -> np.ndarray:
@@ -260,25 +292,23 @@ def init_params(config: ModelConfig, seed: int) -> np.ndarray:
 
 # --- layers: each returns (output, back) --------------------------------------
 
-def _sigmoid(x: np.ndarray, exp: np.ndarray, positive: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-x)) in place on x, taken as exp(x) / (1 + exp(x)) below
-    zero so that exp cannot overflow. `exp` and `positive` are float and
-    bool scratch of x's shape. The numerator np.maximum(exp(-|x|), x >= 0) is
-    1 from zero up and exp(-|x|) below, NaN included: np.where's pick at
-    about half its time."""
-    np.greater_equal(x, 0.0, out=positive)
-    np.negative(np.abs(x, out=exp), out=exp)
-    np.exp(exp, out=exp)
-    np.maximum(exp, positive, out=x)
-    exp += 1.0
-    x /= exp
-    return x
-
-
 def _gates(act: np.ndarray, hidden: int) -> list[np.ndarray]:
     """The f, i, o, g column blocks of fused LSTM gate rows, as views
     (np.split takes five times as long on a step's few rows)."""
     return [act[:, k * hidden:(k + 1) * hidden] for k in range(4)]
+
+
+def _lstm_gates(a: np.ndarray, hidden: int) -> np.ndarray:
+    """Fused LSTM pre-activation rows (n, 4H) turned into the gate values in
+    place: tanh of the g block, and the sigmoid of the f, i, o blocks as
+    1/2 + tanh(z/2)/2, with one tanh over all four blocks. Halving is exact,
+    and tanh cannot overflow, so sigmoid(0) is 1/2 and no value overflows."""
+    sigmoid = a[:, :3 * hidden]
+    sigmoid *= 0.5
+    np.tanh(a, out=a)
+    sigmoid *= 0.5
+    sigmoid += 0.5
+    return a
 
 
 def _packing(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -328,64 +358,72 @@ def _rowwise(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (rows[:, None, :] @ w.T)[:, 0]
 
 
+STEP_BLOCK = 4  # rows of one recurrent step product; see recurrent_forward
+
+
 def recurrent_forward(x: np.ndarray, lengths: np.ndarray, params: Mapping[str, np.ndarray],
                       prefix: str, train: bool = True):
-    """Run the sRNN or LSTM cell `<prefix>.w` (G*H, H+d), `<prefix>.b` (G*H,)
+    """Run the sRNN or LSTM cell `<prefix>.w` (H+d, G*H), `<prefix>.b` (G*H,)
     over a packed batch from a zero state; G is 1, or 4 for an LSTM's gates.
+    The cell is held transposed: `w[:H]` is w_hᵀ and `w[H:]` is w_xᵀ, both
+    contiguous.
 
     `x` holds the packed input rows (see `_packing`) and `lengths` the
     non-increasing true lengths. Returns the final hidden state of each row,
     a zero vector for a row of length 0, and back(d_final) ->
     (d_x, {name: grad}). With train=False each record's input projection is
-    one product on its own rows and each step product is one gemv per row,
-    as in `_rowwise`, so a row does not depend on its batch; no state is
-    kept and back is None.
+    one product on its own rows, no state is kept and back is None.
+
+    Every step product, in training and in scoring, is taken in blocks of
+    STEP_BLOCK rows: the state buffer is padded to a multiple of STEP_BLOCK
+    rows, and a step multiplies its running rows' blocks by w_hᵀ as one
+    stacked product, one (STEP_BLOCK, H) @ (H, G*H) gemm per block. A row of
+    such a block has the same bits whatever the other rows hold, so a
+    record's state does not depend on its batch, and a batch of one trains
+    as it scores. The LSTM's gates come from one tanh over the fused row
+    (`_lstm_gates`).
 
     No step allocates: the loops and the backward write every elementwise
     result into the state or into scratch made once per call, in the
-    formulas' order of operations. A training step product of two or more
-    rows reads one contiguous copy of w_hᵀ; a one-row product stays the
-    scorer's gemv on the view, so a batch of one trains as it scores.
+    formulas' order of operations.
     """
     w, b = params[f"{prefix}.w"], params[f"{prefix}.b"]
-    hidden = w.shape[1] - x.shape[1]
-    w_h, w_x = w[:, :hidden], w[:, hidden:]
-    lstm = w.shape[0] == 4 * hidden
+    hidden = w.shape[0] - x.shape[1]
+    w_h, w_x = w[:hidden], w[hidden:]
+    lstm = w.shape[1] == 4 * hidden
     batch = len(lengths)
     starts = _packing(lengths)[2]
     if train:
         # every step's input projection at once; the steps turn it into the activations
-        act = x @ w_x.T + b
-        w_h_t = np.ascontiguousarray(w_h.T)  # read by step products of two or more rows
+        act = x @ w_x + b
         # per packed row, for the backward: the state and the cell state the
         # row read, and tanh of its new cell state
         h_in, c_in, tanh_c = (np.empty((len(x), hidden)) for _ in range(3))
     else:
-        act = np.empty((len(x), w_x.shape[0]))
+        act = np.empty((len(x), w.shape[1]))
         for row, n in enumerate(lengths.tolist()):
             own = starts[:n] + row
-            act[own] = x[own] @ w_x.T + b
+            act[own] = x[own] @ w_x + b
     starts = starts.tolist()
     spans = list(zip(starts[:-1], starts[1:]))
-    h = np.zeros((batch, hidden))
-    c = np.zeros_like(h)
-    product = np.empty((batch, w.shape[0]))
-    # the sigmoid's exp(-|x|) and sign, and i * g or the scorer's tanh(c)
-    exp, positive = np.empty((batch, 3 * hidden)), np.empty((batch, 3 * hidden), dtype=bool)
-    scratch = np.empty_like(h)
+    padded = -(-batch // STEP_BLOCK) * STEP_BLOCK
+    h = np.zeros((padded, hidden))
+    c = np.zeros((batch, hidden))
+    product = np.empty((padded, w.shape[1]))
+    # the step product's operands as stacks of STEP_BLOCK-row blocks
+    h_blocks = h.reshape(-1, STEP_BLOCK, hidden)
+    product_blocks = product.reshape(-1, STEP_BLOCK, w.shape[1])
+    scratch = np.empty_like(c)  # i * g, or the scorer's tanh(c)
     for s, e in spans:
         n = e - s
+        blocks = -(-n // STEP_BLOCK)
         a = act[s:e]
-        if not train:
-            np.matmul(h[:n, None], w_h.T, out=product[:n, None])
-        else:
+        if train:
             h_in[s:e] = h[:n]
-            np.matmul(h[:n], w_h_t if n > 1 else w_h.T, out=product[:n])
+        np.matmul(h_blocks[:blocks], w_h, out=product_blocks[:blocks])
         a += product[:n]
         if lstm:
-            _sigmoid(a[:, :3 * hidden], exp[:n], positive[:n])
-            f, i, o, g = _gates(a, hidden)
-            np.tanh(g, out=g)
+            f, i, o, g = _gates(_lstm_gates(a, hidden), hidden)
             if train:
                 c_in[s:e] = c[:n]
             c[:n] *= f
@@ -395,7 +433,7 @@ def recurrent_forward(x: np.ndarray, lengths: np.ndarray, params: Mapping[str, n
         else:
             h[:n] = np.tanh(a, out=a)
     if not train:
-        return h, None
+        return h[:batch], None
 
     def back(d_final):
         # dz starts as the factors that do not depend on the incoming gradient,
@@ -435,10 +473,10 @@ def recurrent_forward(x: np.ndarray, lengths: np.ndarray, params: Mapping[str, n
                 dc[:n] *= f
             else:
                 dz[s:e] *= dh[:n]
-            np.matmul(dz[s:e], w_h, out=dh[:n])
-        return dz @ w_x, {f"{prefix}.w": np.concatenate([dz.T @ h_in, dz.T @ x], axis=1),
-                          f"{prefix}.b": dz.sum(axis=0)}
-    return h, back
+            np.matmul(dz[s:e], w_h.T, out=dh[:n])
+        return dz @ w_x.T, {f"{prefix}.w": np.concatenate([h_in.T @ dz, x.T @ dz]),
+                            f"{prefix}.b": dz.sum(axis=0)}
+    return h[:batch], back
 
 
 def blstm_forward(x: np.ndarray, lengths: np.ndarray, params: Mapping[str, np.ndarray],

@@ -232,13 +232,17 @@ def save_checkpoint(ckpt: ModelCheckpoint, path: str | Path) -> None:
 
 def load_checkpoint(path: str | Path) -> ModelCheckpoint:
     """Load the checkpoint file at `path`, which may name a pipe. It reads the
-    magic, then the rest in one read, and parses every field from those bytes,
-    each length checked against the bytes left before a field of that size is
-    read. The last tensor must end the file: trailing bytes are refused."""
+    magic (in as many reads as a pipe needs), then the rest in one read, and
+    parses every field from those bytes, each length checked against the
+    bytes left before a field of that size is read. The last tensor must end
+    the file: trailing bytes are refused."""
     # unbuffered: after read(4), a buffered reader's read() joins its
     # read-ahead to the rest, one more copy of the file (half the load time)
     with open(path, "rb", buffering=0) as source:
-        magic = source.read(4)
+        magic = b""
+        # a pipe may hand over the magic in pieces: read until 4 bytes or EOF
+        while len(magic) < 4 and (piece := source.read(4 - len(magic))):
+            magic += piece
         if magic != CHECKPOINT_MAGIC:
             raise CorruptCheckpoint(f"bad magic {magic!r}")
         buf = source.read()

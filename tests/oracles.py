@@ -113,33 +113,33 @@ def operator_class_by_scan(entries, operator: str):
     return best_cls
 
 
-def _sigmoid_by_sign(x):
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
 def _unroll_one(x, params, prefix):
-    """One record's recurrence as a batch of one, product by product."""
+    """One record's recurrence as a batch of one, product by product: the
+    input projection as one product on its rows against a contiguous w_xᵀ,
+    and each step as a 4-row block times a contiguous w_hᵀ, the state in the
+    block's first row and zeros in the others. The LSTM's sigmoid gates are
+    1/2 + tanh(z/2)/2, with one tanh over the fused row."""
     names = ["w"] if f"{prefix}.w" in params else [f"w_{g}" for g in "fiog"]
     w = np.concatenate([params[f"{prefix}.{name}"] for name in names])
     b = np.concatenate([params[f"{prefix}.b{name[1:]}"] for name in names])
     hidden = w.shape[1] - x.shape[1]
-    w_h, w_x = w[:, :hidden], w[:, hidden:]
-    z = x @ w_x.T + b
-    h = np.zeros((1, hidden))
-    c = np.zeros_like(h)
+    w_h_t = np.ascontiguousarray(w[:, :hidden].T)
+    w_x_t = np.ascontiguousarray(w[:, hidden:].T)
+    z = x @ w_x_t + b
+    block = np.zeros((4, hidden))
+    c = np.zeros((1, hidden))
     for t in range(len(x)):
-        a = z[t:t + 1] + h @ w_h.T
+        a = z[t:t + 1] + (block @ w_h_t)[:1]
         if len(names) == 1:
-            h = np.tanh(a)
+            block[:1] = np.tanh(a)
             continue
-        act = np.empty_like(a)
-        act[:, :3 * hidden] = _sigmoid_by_sign(a[:, :3 * hidden])
-        act[:, 3 * hidden:] = np.tanh(a[:, 3 * hidden:])
+        a[:, :3 * hidden] *= 0.5
+        act = np.tanh(a)
+        act[:, :3 * hidden] = act[:, :3 * hidden] * 0.5 + 0.5
         f, i, o, g = (act[:, k * hidden:(k + 1) * hidden] for k in range(4))
         c = f * c + i * g
-        h = o * np.tanh(c)
-    return h
+        block[:1] = o * np.tanh(c)
+    return block[:1].copy()
 
 
 def forward_probs_per_record(arch: str, params, ids, true_length: int) -> np.ndarray:

@@ -89,7 +89,7 @@ def test_criterion_2_state_update_oracle():
         b = rng.uniform(-2, 2, h)
         seq = rng.uniform(-2, 2, (max(length, 1), d))
         got = recurrent_forward(seq[:length], np.array([length]),
-                                {"srnn.w": w, "srnn.b": b}, "srnn")[0][0]
+                                {"srnn.w": w.T.copy(), "srnn.b": b}, "srnn")[0][0]
         want = srnn_unroll(w, b, seq[:length])
         worst = max(worst, float(np.max(np.abs(got - want))) if got.size else 0.0)
     verdict(2, worst <= 1e-12,
@@ -107,7 +107,7 @@ def test_criterion_3_bidirectional_decomposition():
         t_max = length + int(rng.integers(0, 3))
         params = {}
         for direction in ("fwd", "bwd"):
-            params[f"blstm.{direction}.w"] = rng.uniform(-1, 1, (4 * h, h + d))
+            params[f"blstm.{direction}.w"] = rng.uniform(-1, 1, (4 * h, h + d)).T.copy()
             params[f"blstm.{direction}.b"] = rng.uniform(-1, 1, 4 * h)
         seq = rng.uniform(-1, 1, (max(t_max, 1), d))
         lengths = np.array([length])

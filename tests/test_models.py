@@ -64,24 +64,27 @@ def mini_config(arch, vocab_size=6, d=3, h=4, head=5, max_len=6, k=2, filters=3)
 
 
 def srnn_params(w, b):
-    return {"srnn.w": np.asarray(w, dtype=np.float64), "srnn.b": np.asarray(b, dtype=np.float64)}
+    """A cell of matrix w (H, H+d), held transposed as the model holds it."""
+    return {"srnn.w": np.asarray(w, dtype=np.float64).T.copy(),
+            "srnn.b": np.asarray(b, dtype=np.float64)}
 
 
 def lstm_params(w, b, prefix="lstm"):
     """A fused cell whose every gate block is w and every gate bias b."""
-    return {f"{prefix}.w": np.tile(np.array(w, dtype=np.float64), (4, 1)),
+    return {f"{prefix}.w": np.tile(np.array(w, dtype=np.float64), (4, 1)).T.copy(),
             f"{prefix}.b": np.tile(np.array(b, dtype=np.float64), 4)}
 
 
 def random_lstm_params(rng, h, d, prefix="lstm"):
-    return {f"{prefix}.w": rng.uniform(-1, 1, (4 * h, h + d)),
+    return {f"{prefix}.w": rng.uniform(-1, 1, (4 * h, h + d)).T.copy(),
             f"{prefix}.b": rng.uniform(-1, 1, 4 * h)}
 
 
 def lstm_as_arrays(p, prefix="lstm"):
     """The per-gate arrays of a fused cell, as the oracle takes them."""
-    return {f"{kind}_{g}": block for kind in "wb"
-            for g, block in zip("fiog", np.split(p[f"{prefix}.{kind}"], 4))}
+    return {f"{kind}_{g}": block for kind, fused in (("w", p[f"{prefix}.w"].T),
+                                                     ("b", p[f"{prefix}.b"]))
+            for g, block in zip("fiog", np.split(fused, 4))}
 
 
 def run(seq, length, params, prefix):
@@ -427,11 +430,12 @@ class TestPrimitiveValues:
         np.testing.assert_allclose(out, [1 / 3, 1 / 3, 1 / 3], rtol=0, atol=1e-15)
 
     def test_pointwise_analytic_values(self):
-        # the LSTM gates' sigmoid: exact at 0, saturated without overflow
+        # the LSTM gates at H = 1, f, i, o, g: the sigmoid is exact at 0 and
+        # saturates without overflow, as does g's tanh
         with np.errstate(over="raise", invalid="raise"):
-            values = models._sigmoid(np.array([0.0, -1000.0, 1000.0]), np.empty(3),
-                                     np.empty(3, dtype=bool))
-        np.testing.assert_array_equal(values, [0.5, 0.0, 1.0])
+            values = models._lstm_gates(np.array([[0.0, -1000.0, 1000.0, 0.0],
+                                                  [-1000.0, 1000.0, 0.0, 1000.0]]), 1)
+        np.testing.assert_array_equal(values, [[0.5, 0.0, 1.0, 0.0], [0.0, 1.0, 0.5, 1.0]])
 
     def test_bias_add_broadcasts_over_rows(self):
         head = head_params(np.ones((2, 3)), np.zeros(2), np.zeros((3, 2)), [1.0, 2.0, 3.0])
@@ -834,20 +838,26 @@ class TestInit:
 
     @pytest.mark.parametrize("arch", models.ARCHITECTURES)
     def test_checkpoint_views_round_trip_without_a_copy(self, arch, tmp_path):
-        # entry i of the flat vector holds i, so each view's values are its offsets
+        # entry i of the flat vector holds i, so each view's values are its
+        # offsets: the parameters are consecutive, and the checkpoint tensors
+        # (a transposed cell's gates are column blocks of it) hold every
+        # offset once
         config = mini_config(arch)
         flat = np.arange(float(init_params(config, seed=0).size))
         params = models.parameter_views(config, flat)
         tensors = models.checkpoint_views(config, flat)
         assert list(params) == [spec.name for spec in models.parameter_table(config)]
-        assert list(tensors) == list(models.expected_parameter_shapes(config))
-        for views in (params, tensors):
-            start = 0
-            for name, view in views.items():
-                assert np.shares_memory(view, flat), name
-                assert view.tobytes() == flat[start:start + view.size].tobytes(), name
-                start += view.size
-            assert start == flat.size
+        assert [(name, t.shape) for name, t in tensors.items()] == \
+            list(models.expected_parameter_shapes(config).items())
+        start = 0
+        for name, view in params.items():
+            assert np.shares_memory(view, flat), name
+            assert view.tobytes() == flat[start:start + view.size].tobytes(), name
+            start += view.size
+        assert start == flat.size
+        assert all(np.shares_memory(view, flat) for view in tensors.values())
+        offsets = np.concatenate([view.ravel() for view in tensors.values()])
+        assert np.sort(offsets).tobytes() == flat.tobytes()
         for spec in models.parameter_table(config):
             for name in spec.stored:
                 assert np.shares_memory(tensors[name], params[spec.name]), name
@@ -939,14 +949,22 @@ def scoring_example(arch, seqs, seed=0, **dims):
 
 # a hand-built true length past the padded length: read as the whole record
 OVERLONG = [TokenSequence([2, 3, 0, 0], 9), TokenSequence([2, 3, 0, 0], 4)]
+# six records whose running rows straddle a step block: 6, 5, 4 and 3 rows run
+STRADDLING = [TokenSequence([(3 * i + 5 * n) % 11 for i in range(8)], n)
+              for n in (8, 3, 8, 6, 8, 1)]
 
 
 class TestScore:
     @given(scoring_batches())
+    # at these sizes a row of one plain gemm over a step's running rows
+    # changes with their count; a row of a step block does not
+    @example(scoring_example("srnn", STRADDLING, hidden_units=33, embedding_dim=17))
+    @example(scoring_example("lstm", STRADDLING, hidden_units=33, embedding_dim=17))
     @settings(max_examples=80, deadline=None)
     def test_each_row_is_the_record_scored_alone(self, case):
-        # the recurrent step and head products are one gemv per row, so no
-        # row depends on its batch; gemm would break this in the last bits
+        # the recurrent step products are taken in blocks of STEP_BLOCK rows
+        # and the head products one gemv per row, so no row depends on its
+        # batch; one gemm over all the rows would break this in the last bits
         config, params, seqs = case
         probs = models.score(config, params, seqs)
         assert probs.shape == (len(seqs), 3)
@@ -1012,14 +1030,15 @@ class TestGradientCheck:
         assert err < 1e-9
 
     def test_sigmoid_of_dense_layer(self):
+        # the LSTM gates of a dense layer at H = 1: s(1 - s) for the sigmoid
+        # gates f, i, o and 1 - g² for g, the factors the backward takes
         rng = np.random.default_rng(2)
         params = {"w": rng.uniform(-1, 1, (4, 4)), "b": rng.uniform(-1, 1, 4)}
         x = rng.uniform(-1, 1, 4)
 
         def fn():
-            y = models._sigmoid(params["w"] @ x + params["b"], np.empty(4),
-                                np.empty(4, dtype=bool))
-            d = y * (1.0 - y)
+            y = models._lstm_gates((params["w"] @ x + params["b"])[None], 1)[0]
+            d = np.concatenate([y[:3] * (1.0 - y[:3]), 1.0 - y[3:] * y[3:]])
             return float(y.sum()), {"w": np.outer(d, x), "b": d}
 
         assert gradient_check(fn, params) < 1e-6

@@ -3,6 +3,7 @@ import math
 import os
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -598,19 +599,29 @@ class TestCheckpointIo:
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
     def test_checkpoint_is_read_from_a_named_pipe(self, tmp_path):
         ckpt = self.make_checkpoint()
+        blob = checkpoint_bytes(ckpt, tmp_path)
         garbled = self.garbled_length("metadata-length", tmp_path)
+
+        def in_pieces(fifo):
+            # two bytes, a pause, then the rest: the first read of the magic
+            # gets only those two bytes
+            with open(fifo, "wb", buffering=0) as sink:
+                sink.write(blob[:2])
+                time.sleep(0.2)
+                sink.write(blob[2:])
         for name, write in (("saved", lambda fifo: save_checkpoint(ckpt, fifo)),
+                            ("in-pieces", in_pieces),
                             ("garbled", lambda fifo: fifo.write_bytes(garbled))):
             fifo = tmp_path / f"{name}.fifo"
             os.mkfifo(fifo)
             writer = threading.Thread(target=write, args=(fifo,), daemon=True)
             writer.start()
             try:
-                if name == "saved":
+                if name != "garbled":
                     loaded = load_checkpoint(fifo)
                     assert loaded.config == ckpt.config and loaded.epoch == 4
                     for key in ckpt.tensors:
-                        np.testing.assert_array_equal(loaded.tensors[key], ckpt.tensors[key])
+                        assert loaded.tensors[key].tobytes() == ckpt.tensors[key].tobytes(), key
                 else:
                     with pytest.raises(CorruptCheckpoint):
                         load_checkpoint(fifo)
