@@ -136,6 +136,20 @@ MUTANTS = [
            "np.matmul(h[:n], w_h, out=product[:n])",
            "a step's running rows multiplied as one plain gemm, whose rows change in their "
            "last bits with the row count, so a record's scores depend on its batch"),
+    Mutant("projection-one-gemm-in-training", "src/aerotext/models.py",
+           "        act[own] = x[own] @ w_x + b\n",
+           "        act[own] = x[own] @ w_x + b\n    if train:\n        act = x @ w_x + b\n",
+           "training's input projection taken as one product over all packed rows, whose "
+           "rows change in their last bits with the row count, so training's forward is not "
+           "the scorer's"),
+    Mutant("head-one-gemm-in-training", "src/aerotext/models.py",
+           "    logits, head_back = head_logits(features, params, masks)\n",
+           "    logits, head_back = head_logits(features, params, masks)\n"
+           "    hidden = np.maximum(features @ params[\"head.w1\"].T + params[\"head.b1\"], 0.0)\n"
+           "    logits = (hidden if masks is None else hidden * masks) @ params[\"head.w2\"].T "
+           "+ params[\"head.b2\"]\n",
+           "training's head products taken as one gemm over the batch, whose rows change in "
+           "their last bits with the row count, so training's forward is not the scorer's"),
     Mutant("gates-not-halved", "src/aerotext/models.py",
            "    sigmoid *= 0.5\n    np.tanh(a, out=a)\n", "    np.tanh(a, out=a)\n",
            "the sigmoid gates taken as 1/2 + tanh(z)/2, without halving z"),

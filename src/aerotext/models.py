@@ -35,32 +35,34 @@ pass, is `cross_entropy`. The embedding table's gradient is in row form,
 `(rows, values)`: the distinct ids the batch read and one gradient row
 each, every other row being zero. A batch reads a few hundred of the
 table's ~10k rows, so the backward never builds the dense table, and the
-optimizers skip the rows no batch has read. There is one forward and one
-flag: `encode_features`, the encoders and `head_logits` take `train`, and
-with train=False back is None. `score` runs them so over any number of
-records and gives each record bit-for-bit the probabilities it gets when
-scored alone; `forward_probs` is `score` on one record.
+optimizers skip the rows no batch has read.
+
+There is one forward, and every product in it, in training and in
+scoring, is the product a batch of one makes: a row of a (B, K) @ (K, N)
+BLAS product can change in its last bits with B (with OpenBLAS 0.3.31 it
+does for B < 5 at the default sizes and for larger B at smaller ones), so
+no product but the CNN's convolution (below) takes a batch's rows as one
+gemm. One flag, `train`, taken by `encode_features` and the recurrent
+encoders, only decides whether the state the backward reads is kept; with
+train=False back is None. `score` runs the forward over any number of
+records, and a recurrent model gives a record the probabilities that the
+training forward of any batch holding it gives before dropout;
+`forward_probs` is `score` on one record.
 
 Recurrent layers are length-packed: the batch is sorted longest first and
-laid out step-major, so step t touches only the rows still running.
-Training computes the input projection of every step as one matrix product
-before the loop, and keeps the state its backward reads. Scoring cannot use
-that product: a row of a (B, K) @ (K, N) BLAS product can change in its
-last bits with B (with OpenBLAS 0.3.31 it does for B < 5 at the default
-sizes and for larger B at smaller ones). So with train=False each record's
-input projection is one product on that record's rows, the product a batch
-of one makes, the head products are row by row (`_rowwise`, one gemv per
-row), and no state is kept. Every step product, in training and in
-scoring, is taken in fixed blocks of STEP_BLOCK rows, one gemm per block
-against the contiguous w_hᵀ: a row of such a block has the same bits
-whatever the other rows hold, so a record's state is the same in any
-batch, and the step weight is read once per block, not once per row. The
-LSTM's sigmoid gates are 1/2 + tanh(z/2)/2, taken with one tanh over the
-fused row (`_lstm_gates`). No recurrent step allocates: each call makes its
-scratch arrays once and every elementwise result is written into them or
-into the state, in the formulas' order of operations; the backward takes
-the factors that do not depend on the incoming gradient for all steps at
-once.
+laid out step-major, so step t touches only the rows still running. Each
+record's input projection is one product on that record's own packed
+rows, and the head's products are row by row (`_rowwise`, one gemv per
+row). Every step product is taken in fixed blocks of STEP_BLOCK rows, one
+gemm per block against the contiguous w_hᵀ: a row of such a block has the
+same bits whatever the other rows hold, so a record's state is the same in
+any batch, and the step weight is read once per block, not once per row.
+The LSTM's sigmoid gates are 1/2 + tanh(z/2)/2, taken with one tanh over
+the fused row (`_lstm_gates`). No recurrent step allocates: each call
+makes its scratch arrays once and every elementwise result is written into
+them or into the state, in the formulas' order of operations; the backward
+takes the factors that do not depend on the incoming gradient for all
+steps at once.
 
 The CNN is k shifted matrix products, a ReLU and a max-pool (Kim,
 arXiv:1408.5882). Every window past a record's last non-padding id reads
@@ -68,8 +70,9 @@ only the padding row and equals the first such window, so each record
 keeps its windows only through that one and one more, and a batch's kept
 windows are packed record after record into one product per filter offset,
 as the recurrent layers pack by length (`_conv_lengths`, `cnn_forward`).
-Its products have no row-by-row form, so the scorer runs it one record per
-call.
+Those products have no row-by-row form, so the scorer runs the CNN one
+record per call, the batch of one; a training batch of several records is
+the one place where a row of a product can depend on its batch.
 """
 
 from __future__ import annotations
@@ -345,12 +348,6 @@ def embedding_lookup(ids, table: np.ndarray):
     return table[ids], back
 
 
-def _gemm(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """rows @ w.T as one BLAS product. A row of the result can differ in its
-    last bits with the number of rows, so only training uses it."""
-    return rows @ w.T
-
-
 def _rowwise(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
     """rows @ w.T as one (1, K) @ (K, N) product per row: numpy's matmul
     makes one gemv call per row, the call a batch of one makes, so each row
@@ -371,17 +368,18 @@ def recurrent_forward(x: np.ndarray, lengths: np.ndarray, params: Mapping[str, n
     `x` holds the packed input rows (see `_packing`) and `lengths` the
     non-increasing true lengths. Returns the final hidden state of each row,
     a zero vector for a row of length 0, and back(d_final) ->
-    (d_x, {name: grad}). With train=False each record's input projection is
-    one product on its own rows, no state is kept and back is None.
+    (d_x, {name: grad}). Each record's input projection is one product on
+    its own packed rows, the product a batch of one makes; `train` only
+    decides whether the state the backward reads is kept, and with
+    train=False back is None.
 
-    Every step product, in training and in scoring, is taken in blocks of
-    STEP_BLOCK rows: the state buffer is padded to a multiple of STEP_BLOCK
-    rows, and a step multiplies its running rows' blocks by w_hᵀ as one
-    stacked product, one (STEP_BLOCK, H) @ (H, G*H) gemm per block. A row of
-    such a block has the same bits whatever the other rows hold, so a
-    record's state does not depend on its batch, and a batch of one trains
-    as it scores. The LSTM's gates come from one tanh over the fused row
-    (`_lstm_gates`).
+    Every step product is taken in blocks of STEP_BLOCK rows: the state
+    buffer is padded to a multiple of STEP_BLOCK rows, and a step multiplies
+    its running rows' blocks by w_hᵀ as one stacked product, one
+    (STEP_BLOCK, H) @ (H, G*H) gemm per block. A row of such a block has the
+    same bits whatever the other rows hold, so a record's state does not
+    depend on its batch, and every batch trains as it scores. The LSTM's
+    gates come from one tanh over the fused row (`_lstm_gates`).
 
     No step allocates: the loops and the backward write every elementwise
     result into the state or into scratch made once per call, in the
@@ -393,17 +391,15 @@ def recurrent_forward(x: np.ndarray, lengths: np.ndarray, params: Mapping[str, n
     lstm = w.shape[1] == 4 * hidden
     batch = len(lengths)
     starts = _packing(lengths)[2]
+    # each record's input projection; the steps turn it into the activations
+    act = np.empty((len(x), w.shape[1]))
+    for row, n in enumerate(lengths.tolist()):
+        own = starts[:n] + row
+        act[own] = x[own] @ w_x + b
     if train:
-        # every step's input projection at once; the steps turn it into the activations
-        act = x @ w_x + b
         # per packed row, for the backward: the state and the cell state the
         # row read, and tanh of its new cell state
         h_in, c_in, tanh_c = (np.empty((len(x), hidden)) for _ in range(3))
-    else:
-        act = np.empty((len(x), w.shape[1]))
-        for row, n in enumerate(lengths.tolist()):
-            own = starts[:n] + row
-            act[own] = x[own] @ w_x + b
     starts = starts.tolist()
     spans = list(zip(starts[:-1], starts[1:]))
     padded = -(-batch // STEP_BLOCK) * STEP_BLOCK
@@ -548,16 +544,15 @@ def cnn_forward(x: np.ndarray, filters: np.ndarray, bias: np.ndarray, lengths: n
 
 
 def head_logits(features: np.ndarray, params: Mapping[str, np.ndarray],
-                masks: np.ndarray | None = None, train: bool = True):
+                masks: np.ndarray | None = None):
     """relu(features @ W1.T + b1) @ W2.T + b2 -> (B, 3); `masks` (B,
-    head_units) applies (inverted) dropout to the hidden layer. `back`
-    returns (d_features, {name: grad}). With train=False both products are
-    `_rowwise`, so a row does not depend on its batch, and back is None."""
+    head_units) applies (inverted) dropout to the hidden layer. Both
+    products are `_rowwise`, so a row does not depend on its batch. `back`
+    returns (d_features, {name: grad})."""
     w1, b1, w2, b2 = (params[f"head.{name}"] for name in ("w1", "b1", "w2", "b2"))
     if features.shape[1:] != (w1.shape[1],):
         raise ShapeMismatch(f"head expects features {(w1.shape[1],)}, got {features.shape[1:]}")
-    product = _gemm if train else _rowwise
-    pre = product(features, w1) + b1
+    pre = _rowwise(features, w1) + b1
     hidden = np.maximum(pre, 0.0)
     if masks is not None:
         hidden = hidden * masks
@@ -569,7 +564,7 @@ def head_logits(features: np.ndarray, params: Mapping[str, np.ndarray],
         d_pre = d_pre * (pre > 0)
         return d_pre @ w1, {"head.w1": d_pre.T @ features, "head.b1": d_pre.sum(axis=0),
                             "head.w2": d_logits.T @ hidden, "head.b2": d_logits.sum(axis=0)}
-    return product(hidden, w2) + b2, back if train else None
+    return _rowwise(hidden, w2) + b2, back
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -689,11 +684,11 @@ def score(config: ModelConfig, params: Mapping[str, np.ndarray],
     """The one scorer: one 3-class probability row per record. Training's
     scoring pass, evaluation and prediction all call it.
 
-    Each row is bit-for-bit the training forward of its record on a batch of
-    one, whatever batch the record comes in: the records are sorted longest
-    first and go through `encode_features` and `head_logits` with train=False
-    SCORE_CHUNK at a time (the CNN, whose products have no row-by-row form,
-    one at a time).
+    Each row is bit-for-bit its record's row in the training forward of a
+    batch of one, and for a recurrent model of any batch that holds it: the
+    records are sorted longest first and go through `encode_features` with
+    train=False and `head_logits`, SCORE_CHUNK at a time (the CNN, whose
+    products have no row-by-row form, one at a time).
     """
     lengths = _true_lengths(seqs)
     order = np.argsort(-lengths, kind="stable")
@@ -702,7 +697,7 @@ def score(config: ModelConfig, params: Mapping[str, np.ndarray],
     for start in range(0, len(seqs), chunk_size):
         chunk = order[start:start + chunk_size]
         features, _ = encode_features(config, params, [seqs[i] for i in chunk], train=False)
-        logits, _ = head_logits(features, params, train=False)
+        logits, _ = head_logits(features, params)
         probs[chunk] = softmax(logits)
     return probs
 

@@ -6,7 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from aerotext import models
@@ -654,19 +654,32 @@ class TestLossAndGrads:
 
     @pytest.mark.parametrize("arch", models.ARCHITECTURES)
     def test_scorer_is_the_training_forward(self, arch):
-        # at the default sizes (the second case) gemm and per-row gemv differ
-        # in the last bits, so the scoring mode must still give the bits of
-        # the training forward on a batch of one
-        cases = [(mini_config(arch), TokenSequence([2, 3, 4, 0, 0, 0], 3)),
-                 (ModelConfig(arch, vocab_size=40, max_len=24),
-                  TokenSequence(list(range(2, 21)) + [0] * 5, 19))]
-        for config, seq in cases:
-            params = initial_params(config, seed=4)
-            probs = models.forward_probs(config, params, seq)
-            features, _ = encode_features(config, params, [seq])
+        # every forward product, in training and in scoring, is the one a
+        # batch of one makes; at the default sizes a gemm over a batch's rows,
+        # in the input projection or in the head, differs from it in the last
+        # bits. So a recurrent batch's training forward gives each record its
+        # scored row and the batch the scorer's loss, bit for bit, and so does
+        # the CNN, scored one record per call, on batches of one. At O(1)
+        # parameters the loss carries the logits' last bits; the lengths make
+        # 8, 6, 5, 4 and 3 running rows, straddling a 4-row step block.
+        config = ModelConfig(arch, vocab_size=40, max_len=24)
+        rng = np.random.default_rng(4)
+        params = random_params(config, rng)
+        seqs = [TokenSequence(rng.integers(0, 42, 24).tolist(), n)
+                for n in (9, 24, 0, 1, 24, 13, 5)]
+        seqs += [seqs[1], seqs[3]]
+        labels = rng.integers(0, 3, len(seqs)).tolist()
+        batches = ([[k] for k in range(len(seqs))] if arch == "cnn"
+                   else [range(len(seqs)), range(3), range(2, 8)])
+        for batch in batches:
+            records, answers = [seqs[k] for k in batch], [labels[k] for k in batch]
+            probs = models.score(config, params, records)
+            features, _ = encode_features(config, params, records)
             np.testing.assert_array_equal(
-                probs, models.softmax(models.head_logits(features, params)[0][0]))
-            assert probs.shape == (3,) and abs(probs.sum() - 1.0) < 1e-12
+                probs, models.softmax(models.head_logits(features, params)[0]))
+            assert models.loss_and_grads(config, params, records, answers)[0] == \
+                models.cross_entropy(probs, answers)
+            assert np.allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 @st.composite
@@ -722,7 +735,7 @@ class TestStepLoop:
             result_bytes(first)
 
         # the gradient along one random direction against a central difference
-        _, table_grad, grad = first
+        loss, table_grad, grad = first
         table_size = params["embedding.table"].size
         direction = rng.uniform(-1.0, 1.0, flat.size)
         slope = (dense_table(table_grad, params["embedding.table"].shape).ravel()
@@ -732,7 +745,12 @@ class TestStepLoop:
         def loss_at(step):
             moved = models.parameter_views(config, flat + step * direction)
             return models.loss_and_grads(config, moved, seqs, labels)[0]
-        numeric = (loss_at(eps) - loss_at(-eps)) / (2 * eps)
+        plus, minus = loss_at(eps), loss_at(-eps)
+        # a step across a ReLU or max-pool kink has no derivative to match:
+        # there the one-sided differences disagree by 1e-3 or more, where on a
+        # smooth stretch they agree within 1e-4
+        assume(abs((plus - loss) - (loss - minus)) <= 1e-3 * eps)
+        numeric = (plus - minus) / (2 * eps)
         assert numeric == pytest.approx(slope, rel=1e-6, abs=1e-9)
 
 
