@@ -136,12 +136,12 @@ MUTANTS = [
            "np.matmul(h[:n], w_h, out=product[:n])",
            "a step's running rows multiplied as one plain gemm, whose rows change in their "
            "last bits with the row count, so a record's scores depend on its batch"),
-    Mutant("projection-one-gemm-in-training", "src/aerotext/models.py",
-           "        act[own] = x[own] @ w_x + b\n",
-           "        act[own] = x[own] @ w_x + b\n    if train:\n        act = x @ w_x + b\n",
-           "training's input projection taken as one product over all packed rows, whose "
-           "rows change in their last bits with the row count, so training's forward is not "
-           "the scorer's"),
+    Mutant("projection-plain-gemm", "src/aerotext/models.py",
+           "[(blocks @ w).reshape(len(embedded), w.shape[1])[:len(rows)] for w in weights]",
+           "[embedded[:len(rows)] @ w for w in weights]",
+           "the input projection taken as one plain gemm over the distinct ids, whose rows "
+           "change in their last bits with the id count, so a record's scores depend on its "
+           "batch"),
     Mutant("head-one-gemm-in-training", "src/aerotext/models.py",
            "    logits, head_back = head_logits(features, params, masks)\n",
            "    logits, head_back = head_logits(features, params, masks)\n"
@@ -173,14 +173,22 @@ MUTANTS = [
            "the reversed pass reverses every row within the batch's longest length, "
            "not its own"),
     Mutant("blstm-gradient-not-unreversed", "src/aerotext/models.py",
-           "d_x[reverse] += d_reversed", "d_x += d_reversed",
-           "the reversed pass's input gradient added in reversed order"),
+           "d_rows[-1][order] = dz", "d_rows[-1][...] = dz",
+           "the reversed pass's gradient rows taken back in reversed order"),
     Mutant("kernel-too-large-off-by-one", "src/aerotext/models.py",
            "if k > lengths.min(initial=k):", "if k > lengths.min(initial=k) + 1:",
            "a kernel one longer than a record is not refused as KernelTooLarge"),
-    Mutant("conv-one-padding-window", "src/aerotext/models.py",
-           "np.minimum(ends + kernel + 1, ids.shape[1])", "np.minimum(ends + kernel, ids.shape[1])",
-           "the convolution keeps one padding window, so a product can be a one-row gemv"),
+    Mutant("conv-no-padding-window", "src/aerotext/models.py",
+           "np.minimum(ends + kernel, ids.shape[1])", "np.minimum(ends + kernel - 1, ids.shape[1])",
+           "the convolution drops the window that reads only padding, which the full "
+           "padded sequence pools"),
+    Mutant("conv-offset-one-behind", "src/aerotext/models.py",
+           "inverse[starts + j] * k + j,", "inverse[starts + j] * k + j - 1,",
+           "a window reads the id at its start + j through filter offset j - 1"),
+    Mutant("pool-gradient-to-last-maximum", "src/aerotext/models.py",
+           "np.minimum.reduceat(np.where(top, window, len(act)), firsts, axis=0)",
+           "np.maximum.reduceat(np.where(top, window, -1), firsts, axis=0)",
+           "a pooled value's gradient goes to the last window at its maximum, not the first"),
     Mutant("true-length-uncapped", "src/aerotext/models.py",
            "min(s.true_length, len(s.ids))", "s.true_length",
            "a true length past the padded length is not capped"),

@@ -36,7 +36,7 @@ from .corpus import (
     write_csv,
 )
 from .errors import AerotextError, InvalidConfig, MalformedCsv, read_utf8
-from .models import ARCHITECTURES, ModelConfig
+from .models import ARCHITECTURES, ModelConfig, forward_probs, predict_class
 from .textprep import (
     DEFAULT_MAX_LEN,
     DEFAULT_VOCAB_SIZE,
@@ -322,11 +322,12 @@ def cmd_predict(args) -> int:
     predictor = metrics.Predictor(checkpoint)
     text = sys.stdin.read() if args.stdin else args.text
 
-    if not cleanse_text(text, checkpoint.stopwords):
+    seq = predictor.encode(text)
+    if seq.true_length == 0:
         print("warning: input is empty after cleansing; "
               "predicting from an all-padding sequence", file=sys.stderr)
-    label, probs = predictor.predict(text)
-    print(jsonio.dumps({"class": label.label, "probs": [float(p) for p in probs]}))
+    probs = forward_probs(checkpoint.config, predictor.params, seq)
+    print(jsonio.dumps({"class": predict_class(probs).label, "probs": [float(p) for p in probs]}))
     return 0
 
 

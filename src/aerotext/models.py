@@ -1,13 +1,14 @@
 """The four sequence architectures as fixed layer chains, with a
 hand-derived backward per layer.
 
-All share the same skeleton: an embedding layer turns token ids into
-d-vectors, an architecture-specific encoder reduces each record to a
-feature vector, and a ReLU hidden head plus softmax output produces the
-3-class probability vector. Recurrent encoders iterate only over the true
-(pre-padding) length and return the final state; the convolutional
-encoder global-max-pools its windows over the padded sequence, of which it
-computes only those through the last non-padding id and two more.
+All share the same skeleton: an input layer takes each distinct token id
+through the embedding and the encoder's first product, an
+architecture-specific encoder reduces each record to a feature vector, and
+a ReLU hidden head plus softmax output produces the 3-class probability
+vector. Recurrent encoders iterate only over the true (pre-padding) length
+and return the final state; the convolutional encoder global-max-pools its
+windows over the padded sequence, of which it computes only those through
+the last non-padding id and one more.
 
 State updates:
 
@@ -25,13 +26,14 @@ names (`parameter_views`). A recurrent cell is held transposed: one
 (H+d, G*H) matrix [w_hᵀ; w_xᵀ], whose two row blocks are the contiguous
 right-hand operands of its step and input products, and one G*H bias. An
 LSTM's four gates are fused in f, i, o, g order (Appleyard et al.,
-arXiv:1604.01946). Only the checkpoint keeps the untransposed matrix, one
-tensor per gate: a column block of the held matrix, viewed transposed
+arXiv:1604.01946). The CNN's (k, d, F) filters are held as (d, k, F), the
+(d, k*F) matrix of its k filter offsets side by side. Only the checkpoint
+keeps the unswapped tensors, one per gate: views of the held ones
 (`checkpoint_views`, `fuse_checkpoint`). Each layer function returns its
 output and a closure, `back`, that maps the gradient of that output to the
-gradients of the layer's input and parameters. `loss_and_grads` chains the
-layers over a training batch; its loss, like that of training's scoring
-pass, is `cross_entropy`. The embedding table's gradient is in row form,
+gradients of the layer's parameters. `loss_and_grads` chains the layers
+over a training batch; its loss, like that of training's scoring pass, is
+`cross_entropy`. The embedding table's gradient is in row form,
 `(rows, values)`: the distinct ids the batch read and one gradient row
 each, every other row being zero. A batch reads a few hundred of the
 table's ~10k rows, so the backward never builds the dense table, and the
@@ -41,38 +43,39 @@ There is one forward, and every product in it, in training and in
 scoring, is the product a batch of one makes: a row of a (B, K) @ (K, N)
 BLAS product can change in its last bits with B (with OpenBLAS 0.3.31 it
 does for B < 5 at the default sizes and for larger B at smaller ones), so
-no product but the CNN's convolution (below) takes a batch's rows as one
-gemm. One flag, `train`, taken by `encode_features` and the recurrent
-encoders, only decides whether the state the backward reads is kept; with
-train=False back is None. `score` runs the forward over any number of
-records, and a recurrent model gives a record the probabilities that the
-training forward of any batch holding it gives before dropout;
+no product takes a batch's rows as one gemm. The first layer after the
+embedding is linear in the embedding row: the recurrent x @ w_x and the
+CNN's k filter-offset products are functions of the token id alone. So
+`embedding_lookup` takes the distinct ids a batch or scoring chunk reads
+and multiplies their embedding rows by the encoder's input weights once
+each, in fixed blocks of STEP_BLOCK rows; the encoders gather their rows
+from that table (Devlin et al. 2014, ACL). Every recurrent step product is
+taken in the same fixed blocks, one gemm per block against the contiguous
+w_hᵀ, and the head's products row by row (`_rowwise`, one gemv per row).
+A row of a block has the same bits whatever the other rows hold, so a
+record's features are the same in any batch, and every batch trains as it
+scores, for all four architectures. One flag, `train`, taken by
+`encode_features` and the encoders, only decides whether the state the
+backward reads is kept; with train=False back is None. `score` runs the
+forward over any number of records and gives each the probabilities that
+the training forward of any batch holding it gives before dropout;
 `forward_probs` is `score` on one record.
 
 Recurrent layers are length-packed: the batch is sorted longest first and
-laid out step-major, so step t touches only the rows still running. Each
-record's input projection is one product on that record's own packed
-rows, and the head's products are row by row (`_rowwise`, one gemv per
-row). Every step product is taken in fixed blocks of STEP_BLOCK rows, one
-gemm per block against the contiguous w_hᵀ: a row of such a block has the
-same bits whatever the other rows hold, so a record's state is the same in
-any batch, and the step weight is read once per block, not once per row.
-The LSTM's sigmoid gates are 1/2 + tanh(z/2)/2, taken with one tanh over
-the fused row (`_lstm_gates`). No recurrent step allocates: each call
-makes its scratch arrays once and every elementwise result is written into
-them or into the state, in the formulas' order of operations; the backward
+laid out step-major, so step t touches only the rows still running. The
+LSTM's sigmoid gates are 1/2 + tanh(z/2)/2, taken with one tanh over the
+fused row (`_lstm_gates`). No recurrent step allocates: each call makes
+its scratch arrays once and every elementwise result is written into them
+or into the state, in the formulas' order of operations; the backward
 takes the factors that do not depend on the incoming gradient for all
 steps at once.
 
-The CNN is k shifted matrix products, a ReLU and a max-pool (Kim,
-arXiv:1408.5882). Every window past a record's last non-padding id reads
-only the padding row and equals the first such window, so each record
-keeps its windows only through that one and one more, and a batch's kept
-windows are packed record after record into one product per filter offset,
-as the recurrent layers pack by length (`_conv_lengths`, `cnn_forward`).
-Those products have no row-by-row form, so the scorer runs the CNN one
-record per call, the batch of one; a training batch of several records is
-the one place where a row of a product can depend on its batch.
+The CNN is a sum of k gathered per-id products, a ReLU and a max-pool
+(Kim, arXiv:1408.5882). Every window past a record's last non-padding id
+reads only the padding id and equals the first such window to the bit, so
+each record keeps its windows only through that one, and a batch's ids
+are packed record after record, as the recurrent layers pack by length
+(`_conv_lengths`, `cnn_forward`).
 """
 
 from __future__ import annotations
@@ -143,16 +146,18 @@ class ParamSpec:
     checkpoint names of its equal row blocks if the checkpoint stores them
     as tensors of their own (`parts`, an LSTM cell's gates).
 
-    A recurrent cell's weight is held `transposed`: its (G*H, H+d) matrix
-    [W_h W_x] is stored as the (H+d, G*H) matrix [W_hᵀ; W_xᵀ], whose row
-    blocks w_hᵀ and w_xᵀ are the contiguous right-hand operands of the
-    step and input products. `shape` is the shape held; the checkpoint
-    keeps the untransposed matrix (`stored`), cut into its gates' row
-    blocks if it has parts.
+    A `transposed` tensor is held with its first two axes swapped, so that
+    the input and step products read contiguous right-hand operands. A
+    recurrent cell's (G*H, H+d) matrix [W_h W_x] is held as the (H+d, G*H)
+    matrix [W_hᵀ; W_xᵀ], whose row blocks are w_hᵀ and w_xᵀ; the CNN's
+    (k, d, F) filters are held as (d, k, F), in memory the (d, k*F) matrix
+    of every filter offset side by side. `shape` is the shape held; the
+    checkpoint keeps the unswapped tensor (`stored`), cut into its gates'
+    row blocks if it has parts.
 
     `init` is one of
       "glorot"       uniform within sqrt(6/(fan_in+fan_out)), fans given;
-                     a transposed tensor draws its untransposed matrix
+                     a transposed tensor draws its unswapped tensor
       "embedding"    uniform in +-0.05, except the padding row 0, which
                      starts at zero so padded positions contribute nothing
                      to the convolution until trained
@@ -170,9 +175,9 @@ class ParamSpec:
 
     def stored_views(self, array: np.ndarray) -> Params:
         """The checkpoint tensors of `array`, a tensor of this spec, as views
-        of it: the untransposed matrix, or its row blocks if it has parts."""
+        of it: the unswapped tensor, or its row blocks if it has parts."""
         names = self.parts or (self.name,)
-        rows = array.T if self.transposed else array
+        rows = array.swapaxes(0, 1) if self.transposed else array
         size = len(rows) // len(names)
         return {name: rows[k * size:(k + 1) * size] for k, name in enumerate(names)}
 
@@ -188,7 +193,8 @@ class ParamSpec:
             fan_in, fan_out = self.fans
             bound = math.sqrt(6.0 / (fan_in + fan_out))
             if self.transposed:
-                return rng.uniform(-bound, bound, self.shape[::-1]).T
+                stored = (self.shape[1], self.shape[0], *self.shape[2:])
+                return rng.uniform(-bound, bound, stored).swapaxes(0, 1)
             return rng.uniform(-bound, bound, self.shape)
         if self.init == "embedding":
             table = rng.uniform(-0.05, 0.05, self.shape)
@@ -217,7 +223,7 @@ def parameter_table(config: ModelConfig) -> list[ParamSpec]:
                           parts=tuple(f"{prefix}.b_{g}" for g in LSTM_GATES))]
 
     cells = {
-        "cnn": [ParamSpec("cnn.filters", (k, d, f), "glorot", (k * d, f)),
+        "cnn": [ParamSpec("cnn.filters", (d, k, f), "glorot", (k * d, f), transposed=True),
                 ParamSpec("cnn.bias", (f,), "zeros")],
         "srnn": [ParamSpec("srnn.w", (h + d, h), "glorot", (h + d, h), transposed=True),
                  ParamSpec("srnn.b", (h,), "zeros")],
@@ -262,8 +268,9 @@ def parameter_views(config: ModelConfig, flat: np.ndarray) -> Params:
 
 def checkpoint_views(config: ModelConfig, flat: np.ndarray) -> Params:
     """The checkpoint tensors of a flat parameter vector without a copy: a
-    transposed cell's gate tensors are column blocks of the held matrix,
-    viewed transposed (`ParamSpec.stored_views`)."""
+    transposed tensor's are views of it with its first two axes swapped, a
+    cell's gate tensors column blocks of the held matrix so viewed
+    (`ParamSpec.stored_views`)."""
     params = parameter_views(config, flat)
     return {name: block for spec in parameter_table(config)
             for name, block in spec.stored_views(params[spec.name]).items()}
@@ -271,9 +278,9 @@ def checkpoint_views(config: ModelConfig, flat: np.ndarray) -> Params:
 
 def fuse_checkpoint(config: ModelConfig, tensors: Mapping[str, np.ndarray]) -> Params:
     """The parameters of checkpoint tensors, after `check_parameter_shapes`:
-    a cell's tensors copied once into the matrix or bias that holds them, at
-    their places in it (`ParamSpec.stored_views`), every other tensor as it
-    is."""
+    a transposed or fused tensor's checkpoint tensors copied once into the
+    array that holds them, at their places in it (`ParamSpec.stored_views`),
+    every other tensor as it is."""
     check_parameter_shapes(config, tensors)
     params = {}
     for spec in parameter_table(config):
@@ -324,28 +331,63 @@ def _packing(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, steps, np.searchsorted(steps, np.arange(t_max + 1))
 
 
-def embedding_lookup(ids, table: np.ndarray):
-    """Gather the table rows of an integer id array -> ids.shape + (d,).
+STEP_BLOCK = 4  # rows of one block product: the input projection's and each step's
 
-    `back` returns the table gradient in row form, `(rows, values)`: the
-    sorted distinct ids and one summed gradient row for each; every other
-    row of the table has a zero gradient. Repeated ids accumulate on their
-    shared row in the order they occur, from +0, so `values` holds the bits
-    of the rows of a dense table gradient. The padding row is gathered like
-    any other (there is no masking here).
+
+def _block_rows(n: int) -> int:
+    """n rounded up to whole STEP_BLOCK-row blocks."""
+    return -(-n // STEP_BLOCK) * STEP_BLOCK
+
+
+def embedding_lookup(ids, table: np.ndarray, weights: Sequence[np.ndarray]):
+    """The first layer of every encoder: the embedding rows of the distinct
+    ids of `ids` times each of the encoder's input weights, (d, N) each.
+
+    The recurrent input product x @ w_x and the CNN's k filter-offset
+    products are linear in the embedding row, so they are a function of the
+    token id alone: each distinct id a batch reads is projected once, and the
+    encoder gathers its packed or window rows from that table (Devlin et al.
+    2014, ACL, precompute it per word). Returns (inverse, projections, back):
+    `inverse` holds the index of each id of `ids`, flattened, among the
+    sorted distinct ids, and projections[i] (U, N_i) the products with
+    weights[i]. An id outside the table raises IdOutOfRange.
+
+    The products are taken in blocks of STEP_BLOCK rows: the distinct rows
+    are padded with zero rows to whole blocks and multiplied as one stacked
+    product, one (STEP_BLOCK, d) @ (d, N) gemm per block. A row of such a
+    block has the same bits whatever the other rows hold, so an id's
+    projection does not depend on the batch that reads it.
+
+    back(d_rows) takes the gradient of each projection as the rows of `ids`
+    read it, (ids.size, N_i) each, and returns (d_weights, (rows, values)):
+    the gradient of each weight, and the table's in row form, the sorted
+    distinct ids and one gradient row each, the rows of an id summed in the
+    order they occur; every other row of the table has a zero gradient. Its
+    products are over the rows of `ids`: summing the gradient per id first
+    and multiplying only the distinct rows was slower at batch 32.
     """
-    ids = np.asarray(ids, dtype=np.int64)
-    n_rows = table.shape[0]
-    if ids.size and (ids.min() < 0 or ids.max() >= n_rows):
-        bad = int(ids.min()) if ids.min() < 0 else int(ids.max())
+    ids = np.asarray(ids, dtype=np.int64).ravel()
+    rows, inverse = np.unique(ids, return_inverse=True)
+    n_rows, dim = table.shape
+    if rows.size and (rows[0] < 0 or rows[-1] >= n_rows):
+        bad = int(rows[0]) if rows[0] < 0 else int(rows[-1])
         raise IdOutOfRange(f"token id {bad} outside embedding table with {n_rows} rows")
+    embedded = np.zeros((_block_rows(len(rows)), dim))
+    embedded[:len(rows)] = table[rows]
+    blocks = embedded.reshape(-1, STEP_BLOCK, dim)
+    projections = [(blocks @ w).reshape(len(embedded), w.shape[1])[:len(rows)] for w in weights]
 
     def back(d_rows):
-        rows, inverse = np.unique(ids.ravel(), return_inverse=True)
-        values = np.zeros((len(rows), table.shape[1]))
-        np.add.at(values, inverse, d_rows.reshape(len(inverse), table.shape[1]))
-        return rows, values
-    return table[ids], back
+        x = embedded[inverse]
+        d_x = d_rows[0] @ weights[0].T
+        for d_projection, w in zip(d_rows[1:], weights[1:]):
+            d_x += d_projection @ w.T
+        # each id's rows side by side, in the order they occur, and summed
+        order = np.argsort(inverse, kind="stable")
+        reads = np.bincount(inverse, minlength=len(rows))
+        values = np.add.reduceat(d_x[order], np.cumsum(reads) - reads, axis=0)
+        return [x.T @ d_projection for d_projection in d_rows], (rows, values)
+    return inverse, projections, back
 
 
 def _rowwise(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -355,23 +397,15 @@ def _rowwise(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (rows[:, None, :] @ w.T)[:, 0]
 
 
-STEP_BLOCK = 4  # rows of one recurrent step product; see recurrent_forward
-
-
-def recurrent_forward(x: np.ndarray, lengths: np.ndarray, params: Mapping[str, np.ndarray],
-                      prefix: str, train: bool = True):
-    """Run the sRNN or LSTM cell `<prefix>.w` (H+d, G*H), `<prefix>.b` (G*H,)
-    over a packed batch from a zero state; G is 1, or 4 for an LSTM's gates.
-    The cell is held transposed: `w[:H]` is w_hᵀ and `w[H:]` is w_xᵀ, both
-    contiguous.
-
-    `x` holds the packed input rows (see `_packing`) and `lengths` the
-    non-increasing true lengths. Returns the final hidden state of each row,
-    a zero vector for a row of length 0, and back(d_final) ->
-    (d_x, {name: grad}). Each record's input projection is one product on
-    its own packed rows, the product a batch of one makes; `train` only
-    decides whether the state the backward reads is kept, and with
-    train=False back is None.
+def _recurrence(act: np.ndarray, lengths: np.ndarray, w_h: np.ndarray, train: bool):
+    """The steps of one sRNN or LSTM cell over a packed batch from a zero
+    state. `act` holds each packed row's input projection plus bias (see
+    `_packing`), (rows, G*H) with G 1 or 4, and is turned into the
+    activations in place; `lengths` holds the non-increasing true lengths
+    and `w_h` is the contiguous w_hᵀ (H, G*H). Returns the final hidden
+    state of each row, a zero vector for a row of length 0, and
+    back(d_final) -> (the gradient of `act`, the gradient of w_hᵀ); with
+    train=False nothing is kept for the backward and back is None.
 
     Every step product is taken in blocks of STEP_BLOCK rows: the state
     buffer is padded to a multiple of STEP_BLOCK rows, and a step multiplies
@@ -385,30 +419,22 @@ def recurrent_forward(x: np.ndarray, lengths: np.ndarray, params: Mapping[str, n
     result into the state or into scratch made once per call, in the
     formulas' order of operations.
     """
-    w, b = params[f"{prefix}.w"], params[f"{prefix}.b"]
-    hidden = w.shape[0] - x.shape[1]
-    w_h, w_x = w[:hidden], w[hidden:]
-    lstm = w.shape[1] == 4 * hidden
+    hidden = len(w_h)
+    lstm = w_h.shape[1] == 4 * hidden
     batch = len(lengths)
-    starts = _packing(lengths)[2]
-    # each record's input projection; the steps turn it into the activations
-    act = np.empty((len(x), w.shape[1]))
-    for row, n in enumerate(lengths.tolist()):
-        own = starts[:n] + row
-        act[own] = x[own] @ w_x + b
     if train:
         # per packed row, for the backward: the state and the cell state the
         # row read, and tanh of its new cell state
-        h_in, c_in, tanh_c = (np.empty((len(x), hidden)) for _ in range(3))
-    starts = starts.tolist()
+        h_in, c_in, tanh_c = (np.empty((len(act), hidden)) for _ in range(3))
+    starts = _packing(lengths)[2].tolist()
     spans = list(zip(starts[:-1], starts[1:]))
-    padded = -(-batch // STEP_BLOCK) * STEP_BLOCK
+    padded = _block_rows(batch)
     h = np.zeros((padded, hidden))
     c = np.zeros((batch, hidden))
-    product = np.empty((padded, w.shape[1]))
+    product = np.empty((padded, w_h.shape[1]))
     # the step product's operands as stacks of STEP_BLOCK-row blocks
     h_blocks = h.reshape(-1, STEP_BLOCK, hidden)
-    product_blocks = product.reshape(-1, STEP_BLOCK, w.shape[1])
+    product_blocks = product.reshape(-1, STEP_BLOCK, w_h.shape[1])
     scratch = np.empty_like(c)  # i * g, or the scorer's tanh(c)
     for s, e in spans:
         n = e - s
@@ -470,77 +496,140 @@ def recurrent_forward(x: np.ndarray, lengths: np.ndarray, params: Mapping[str, n
             else:
                 dz[s:e] *= dh[:n]
             np.matmul(dz[s:e], w_h.T, out=dh[:n])
-        return dz @ w_x.T, {f"{prefix}.w": np.concatenate([h_in.T @ dz, x.T @ dz]),
-                            f"{prefix}.b": dz.sum(axis=0)}
+        return dz, h_in.T @ dz
     return h[:batch], back
 
 
-def blstm_forward(x: np.ndarray, lengths: np.ndarray, params: Mapping[str, np.ndarray],
-                  train: bool = True):
-    """concat(forward-order final state, reversed-order final state) -> (B, 2H).
-
-    Each row is reversed within its own true length. The reversed pass reads
-    a permutation of the packed rows of the already-embedded batch, so the
-    embedding is gathered once for both directions. `train` is passed on to
-    `recurrent_forward`; with train=False back is None.
-    """
-    rows, steps, starts = _packing(lengths)
-    reverse = starts[lengths[rows] - 1 - steps] + rows
-    h_fwd, fwd_back = recurrent_forward(x, lengths, params, "blstm.fwd", train)
-    h_bwd, bwd_back = recurrent_forward(x[reverse], lengths, params, "blstm.bwd", train)
-    hidden = h_fwd.shape[1]
-    features = np.concatenate([h_fwd, h_bwd], axis=1)
+def _recurrent_encoder(table: np.ndarray, ids: np.ndarray, lengths: np.ndarray,
+                       params: Mapping[str, np.ndarray],
+                       cells: Sequence[tuple[str, np.ndarray | None]],
+                       train: bool):
+    """The cells `cells`, (prefix, order) pairs, over one `embedding_lookup`
+    of the packed `ids`: each cell reads the packed rows in its `order` (a
+    permutation of them, or None for their own order), and the features are
+    the cells' final states side by side. back(d_features) -> {name: grad}."""
+    hidden = params[f"{cells[0][0]}.w"].shape[0] - table.shape[1]
+    weights = [params[f"{prefix}.w"] for prefix, _ in cells]
+    inverse, projections, lookup_back = embedding_lookup(ids, table,
+                                                         [w[hidden:] for w in weights])
+    states, backs = [], []
+    for (prefix, order), w, projection in zip(cells, weights, projections):
+        projection += params[f"{prefix}.b"]
+        read = inverse if order is None else inverse[order]
+        h, cell_back = _recurrence(projection[read], lengths, w[:hidden], train)
+        states.append(h)
+        backs.append(cell_back)
+    features = np.concatenate(states, axis=1)
     if not train:
         return features, None
 
-    def back(d_out):
-        d_x, grads = fwd_back(d_out[:, :hidden])
-        d_reversed, bwd_grads = bwd_back(d_out[:, hidden:])
-        d_x[reverse] += d_reversed
-        return d_x, grads | bwd_grads
+    def back(d_features):
+        grads, d_rows, d_steps = {}, [], []
+        for (prefix, order), cell_back, d_final in zip(
+                cells, backs, np.split(d_features, len(cells), axis=1)):
+            dz, d_step = cell_back(d_final)
+            if order is not None:   # back to the packed order of `ids`
+                d_rows.append(np.empty_like(dz))
+                d_rows[-1][order] = dz
+            else:
+                d_rows.append(dz)
+            d_steps.append(d_step)
+            grads[f"{prefix}.b"] = dz.sum(axis=0)
+        d_inputs, grads["embedding.table"] = lookup_back(d_rows)
+        for (prefix, _), d_step, d_input in zip(cells, d_steps, d_inputs):
+            grads[f"{prefix}.w"] = np.concatenate([d_step, d_input])
+        return grads
     return features, back
 
 
-def cnn_forward(x: np.ndarray, filters: np.ndarray, bias: np.ndarray, lengths: np.ndarray):
-    """Valid 1-d convolution + bias, ReLU, then global max pooling over
-    each record, the records laid end to end as the rows of x:
-    (sum(lengths), d) with `lengths` (B,) -> (B, F).
+def recurrent_forward(table: np.ndarray, ids: np.ndarray, lengths: np.ndarray,
+                      params: Mapping[str, np.ndarray], prefix: str, train: bool = True):
+    """Run the sRNN or LSTM cell `<prefix>.w` (H+d, G*H), `<prefix>.b` (G*H,)
+    over a packed batch from a zero state; G is 1, or 4 for an LSTM's gates.
+    The cell is held transposed: `w[:H]` is w_hᵀ and `w[H:]` is w_xᵀ, both
+    contiguous.
 
-    `filters` is laid out (k, d, F), so the convolution is k shifted
-    (M, d) @ (d, F) products, each over a contiguous slice of the M =
-    rows - k + 1 window starts. The k - 1 windows that straddle two records
-    are computed and never pooled. The pooled windows are scattered into a
-    -inf (B, max positions, F) grid, so the max and its first index, where
-    the gradient of each pooled value goes, are those of each record's own
-    windows, NaN included. back(d_out) -> (d_x shaped like x, {name: grad}).
+    `ids` holds the packed ids (see `_packing`) of rows of `table` and
+    `lengths` the non-increasing true lengths. Returns the final hidden state
+    of each row, a zero vector for a row of length 0, and back(d_final) ->
+    {name: grad}, the table's in row form (see `embedding_lookup`). The input
+    projection is taken once per distinct id (`embedding_lookup`) and the
+    steps in blocks (`_recurrence`), so no row depends on its batch; `train`
+    only decides whether the state the backward reads is kept, and with
+    train=False back is None.
     """
-    k, _, n_filters = filters.shape
+    return _recurrent_encoder(table, ids, lengths, params, [(prefix, None)], train)
+
+
+def blstm_forward(table: np.ndarray, ids: np.ndarray, lengths: np.ndarray,
+                  params: Mapping[str, np.ndarray], train: bool = True):
+    """concat(forward-order final state, reversed-order final state) -> (B, 2H).
+
+    Each row is reversed within its own true length: the reversed pass
+    reads a permutation of the packed rows, so both directions share one
+    lookup of the distinct ids. Otherwise as `recurrent_forward`.
+    """
+    rows, steps, starts = _packing(lengths)
+    reverse = starts[lengths[rows] - 1 - steps] + rows
+    return _recurrent_encoder(table, ids, lengths, params,
+                              [("blstm.fwd", None), ("blstm.bwd", reverse)], train)
+
+
+def cnn_forward(table: np.ndarray, ids: np.ndarray, lengths: np.ndarray,
+                params: Mapping[str, np.ndarray], train: bool = True):
+    """Valid 1-d convolution + bias, ReLU, then global max pooling over
+    each record, the records' ids laid end to end in `ids`:
+    (sum(lengths),) with `lengths` (B,) -> (B, F).
+
+    `cnn.filters` is held (d, k, F): `embedding_lookup` multiplies each
+    distinct id's row by the (d, k*F) matrix of all k filter offsets at
+    once, and the window at row t is sum_j P[id at t + j, offset j] + bias,
+    gathered offset by offset into one reused buffer. Only a record's own
+    windows are formed; `np.maximum.reduceat` pools them, so the max is that
+    of each record's windows, NaN included, and the gradient of each pooled
+    value goes to its first maximum, as np.argmax picks it. back(d_out) ->
+    {name: grad}, the table's in row form; with train=False back is None.
+    """
+    filters, bias = params["cnn.filters"], params["cnn.bias"]
+    dim, k, n_filters = filters.shape
+    inverse, (projection,), lookup_back = embedding_lookup(
+        ids, table, [filters.reshape(dim, k * n_filters)])
     if k > lengths.min(initial=k):
         raise KernelTooLarge(f"kernel {k} exceeds sequence length {lengths.min()}")
-    starts = np.cumsum(lengths) - lengths
     positions = lengths - k + 1
-    record = np.repeat(np.arange(len(lengths)), positions)
-    at = np.arange(len(record)) - np.repeat(np.cumsum(positions) - positions, positions)
-    m = len(x) - k + 1
-    conv = x[:m] @ filters[0]
+    firsts = np.cumsum(positions) - positions    # each record's first window
+    # the packed row at which each window starts
+    starts = np.arange(positions.sum()) + np.repeat(np.cumsum(lengths) - lengths - firsts,
+                                                    positions)
+    offsets = projection.reshape(-1, n_filters)  # row u*k + j: distinct id u at offset j
+    conv = offsets[inverse[starts] * k]
+    gathered = np.empty_like(conv)
     for j in range(1, k):
-        conv += x[j:j + m] @ filters[j]
+        # mode="clip" writes straight into `gathered` (the indices are in range)
+        np.take(offsets, inverse[starts + j] * k + j, axis=0, out=gathered, mode="clip")
+        conv += gathered
     conv += bias
-    act = np.maximum(conv, 0.0)
-    grid = np.full((len(lengths), positions.max(initial=0), n_filters), -np.inf)
-    grid[record, at] = act[starts[record] + at]
+    act = np.maximum(conv, 0.0, out=conv)
+    pooled = np.maximum.reduceat(act, firsts, axis=0)
+    if not train:
+        return pooled, None
 
     def back(d_out):
-        d_conv = np.zeros_like(conv)
-        d_conv[starts[:, None] + grid.argmax(axis=1), np.arange(n_filters)] = d_out
-        d_conv *= conv > 0
-        d_x = np.zeros_like(x)
+        # each record's first window at its maximum: a NaN, or the first equal
+        window = np.arange(len(act))[:, None]
+        top = (act == np.repeat(pooled, positions, axis=0)) | np.isnan(act)
+        first = np.minimum.reduceat(np.where(top, window, len(act)), firsts, axis=0)
+        d_conv = np.zeros_like(act)
+        d_conv[first, np.arange(n_filters)] = d_out
+        d_conv *= act > 0
+        # window t's gradient reaches the row t + j through offset j
+        d_rows = np.zeros((len(inverse), k, n_filters))
         for j in range(k):
-            d_x[j:j + m] += d_conv @ filters[j].T
-        return d_x, {
-            "cnn.filters": np.stack([x[j:j + m].T @ d_conv for j in range(k)]),
-            "cnn.bias": d_conv.sum(axis=0)}
-    return grid.max(axis=1), back
+            d_rows[starts + j, j] = d_conv
+        (d_filters,), table_grad = lookup_back([d_rows.reshape(len(inverse), -1)])
+        return {"embedding.table": table_grad, "cnn.filters": d_filters.reshape(filters.shape),
+                "cnn.bias": d_conv.sum(axis=0)}
+    return pooled, back
 
 
 def head_logits(features: np.ndarray, params: Mapping[str, np.ndarray],
@@ -599,15 +688,14 @@ def _true_lengths(seqs: Sequence[TokenSequence]) -> np.ndarray:
 
 def _conv_lengths(ids: np.ndarray, kernel: int) -> np.ndarray:
     """How many leading ids of each padded row (B, T) the convolution reads:
-    through the row's last non-padding id and kernel + 1 more, at most T.
-    Those give the windows that read a token and two that read only padding;
-    every later window reads only padding too and equals them, so the max-pool
-    and its first maximum do not change. Two, not one, keep every product at
-    two rows or more: a one-row product is a gemv, whose bits differ from the
-    rows of a gemm."""
+    through the row's last non-padding id and kernel more, at most T. Those
+    give the windows that read a token and one that reads only padding;
+    every later window reads only padding too and equals it to the bit,
+    since each window is a sum of per-id products (`embedding_lookup`), so
+    the max-pool and its first maximum do not change."""
     read = ids != PAD_ID
     ends = np.where(read.any(axis=1), ids.shape[1] - read[:, ::-1].argmax(axis=1), 0)
-    return np.minimum(ends + kernel + 1, ids.shape[1])
+    return np.minimum(ends + kernel, ids.shape[1])
 
 
 def encode_features(config: ModelConfig, params: Mapping[str, np.ndarray],
@@ -618,41 +706,35 @@ def encode_features(config: ModelConfig, params: Mapping[str, np.ndarray],
     taken as one (B, T) matrix, so ids of different lengths are refused
     (ValueError) for every architecture.
 
-    Recurrent paths embed only the first true_length ids of each row; the
-    CNN embeds each row through its last non-padding id (found from the ids,
-    not from true_length) and kernel + 1 ids more, packed row after row (see
-    `_conv_lengths`). `train` is passed on to the recurrent encoders (see
-    `recurrent_forward`); with train=False back is None.
+    Recurrent paths read only the first true_length ids of each row; the
+    CNN reads each row through its last non-padding id (found from the ids,
+    not from true_length) and kernel ids more, packed row after row (see
+    `_conv_lengths`). `train` is passed on to the encoders; with
+    train=False back is None.
     """
     table = params["embedding.table"]
     ids = np.asarray([s.ids for s in seqs], dtype=np.int64)
     if config.arch == "cnn":
         order = np.arange(len(seqs))
         lengths = _conv_lengths(ids, config.conv_kernel)
-        x, embedding_back = embedding_lookup(ids[np.arange(ids.shape[1]) < lengths[:, None]],
-                                             table)
-        encoded, encoder_back = cnn_forward(x, params["cnn.filters"], params["cnn.bias"],
-                                            lengths)
+        encoded, encoder_back = cnn_forward(
+            table, ids[np.arange(ids.shape[1]) < lengths[:, None]], lengths, params, train)
     else:
         lengths = _true_lengths(seqs)
         order = np.argsort(-lengths, kind="stable")
         lengths = lengths[order]
         rows, steps, _ = _packing(lengths)
-        x, embedding_back = embedding_lookup(ids[order[rows], steps], table)
+        packed = ids[order[rows], steps]
         if config.arch == "blstm":
-            encoded, encoder_back = blstm_forward(x, lengths, params, train)
+            encoded, encoder_back = blstm_forward(table, packed, lengths, params, train)
         else:
-            encoded, encoder_back = recurrent_forward(x, lengths, params, config.arch, train)
+            encoded, encoder_back = recurrent_forward(table, packed, lengths, params,
+                                                      config.arch, train)
     features = np.empty_like(encoded)
     features[order] = encoded
     if not train:
         return features, None
-
-    def back(d_features):
-        d_x, grads = encoder_back(d_features[order])
-        grads["embedding.table"] = embedding_back(d_x)
-        return grads
-    return features, back
+    return features, lambda d_features: encoder_back(d_features[order])
 
 
 def loss_and_grads(config: ModelConfig, params: Mapping[str, np.ndarray],
@@ -676,7 +758,7 @@ def loss_and_grads(config: ModelConfig, params: Mapping[str, np.ndarray],
         [grads[spec.name].ravel() for spec in parameter_table(config)[1:]])
 
 
-SCORE_CHUNK = 64  # records scored together; bounds the packed projections of one chunk
+SCORE_CHUNK = 64  # records scored together; bounds one chunk's packed rows and id table
 
 
 def score(config: ModelConfig, params: Mapping[str, np.ndarray],
@@ -684,18 +766,18 @@ def score(config: ModelConfig, params: Mapping[str, np.ndarray],
     """The one scorer: one 3-class probability row per record. Training's
     scoring pass, evaluation and prediction all call it.
 
-    Each row is bit-for-bit its record's row in the training forward of a
-    batch of one, and for a recurrent model of any batch that holds it: the
-    records are sorted longest first and go through `encode_features` with
-    train=False and `head_logits`, SCORE_CHUNK at a time (the CNN, whose
-    products have no row-by-row form, one at a time).
+    Each row is bit-for-bit its record's row in the training forward of any
+    batch that holds it, before dropout: the records are sorted longest
+    first and go through `encode_features` with train=False and
+    `head_logits`, SCORE_CHUNK at a time. Every product is a row of a block
+    (the per-id input projection and the recurrent steps) or a row of its
+    own (the head), so a chunk gives each record what it gets alone.
     """
     lengths = _true_lengths(seqs)
     order = np.argsort(-lengths, kind="stable")
-    chunk_size = 1 if config.arch == "cnn" else SCORE_CHUNK
     probs = np.empty((len(seqs), NUM_CLASSES))
-    for start in range(0, len(seqs), chunk_size):
-        chunk = order[start:start + chunk_size]
+    for start in range(0, len(seqs), SCORE_CHUNK):
+        chunk = order[start:start + SCORE_CHUNK]
         features, _ = encode_features(config, params, [seqs[i] for i in chunk], train=False)
         logits, _ = head_logits(features, params)
         probs[chunk] = softmax(logits)

@@ -113,19 +113,31 @@ def operator_class_by_scan(entries, operator: str):
     return best_cls
 
 
+def per_id_product(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """rows @ w as the package's input layer takes it, once per distinct id:
+    each row as the first row of a 4-row block of zeros, times a contiguous
+    w, so its bits are those of a row of the package's block products."""
+    w = np.ascontiguousarray(w)
+    block = np.zeros((4, rows.shape[1]))
+    out = np.empty((len(rows), w.shape[1]))
+    for i, row in enumerate(rows):
+        block[0] = row
+        out[i] = (block @ w)[0]
+    return out
+
+
 def _unroll_one(x, params, prefix):
     """One record's recurrence as a batch of one, product by product: the
-    input projection as one product on its rows against a contiguous w_xᵀ,
-    and each step as a 4-row block times a contiguous w_hᵀ, the state in the
-    block's first row and zeros in the others. The LSTM's sigmoid gates are
-    1/2 + tanh(z/2)/2, with one tanh over the fused row."""
+    input projection of each row by `per_id_product` against a contiguous
+    w_xᵀ, and each step as a 4-row block times a contiguous w_hᵀ, the state
+    in the block's first row and zeros in the others. The LSTM's sigmoid
+    gates are 1/2 + tanh(z/2)/2, with one tanh over the fused row."""
     names = ["w"] if f"{prefix}.w" in params else [f"w_{g}" for g in "fiog"]
     w = np.concatenate([params[f"{prefix}.{name}"] for name in names])
     b = np.concatenate([params[f"{prefix}.b{name[1:]}"] for name in names])
     hidden = w.shape[1] - x.shape[1]
     w_h_t = np.ascontiguousarray(w[:, :hidden].T)
-    w_x_t = np.ascontiguousarray(w[:, hidden:].T)
-    z = x @ w_x_t + b
+    z = per_id_product(x, w[:, hidden:].T) + b
     block = np.zeros((4, hidden))
     c = np.zeros((1, hidden))
     for t in range(len(x)):
@@ -143,21 +155,14 @@ def _unroll_one(x, params, prefix):
 
 
 def forward_probs_per_record(arch: str, params, ids, true_length: int) -> np.ndarray:
-    """The scorer as it ran before records were scored in batches: the
-    training forward on one record, with the same matrix products on the
-    same memory layouts, so its output is the reference bit for bit."""
+    """One record's probabilities from its checkpoint tensors, with the
+    package's documented products (`per_id_product`, the 4-row step blocks,
+    one gemv per head row) on a batch of one, so its output is the scorer's
+    bit for bit. The CNN convolves the whole padded record."""
     table = params["embedding.table"]
     if arch == "cnn":
-        x = table[np.asarray([ids], dtype=np.int64)]
-        filters = params["cnn.filters"]
-        k, d, n_filters = filters.shape
-        positions = x.shape[1] - k + 1
-        windows = [x[:, j:j + positions].reshape(positions, d) for j in range(k)]
-        conv = windows[0] @ filters[0]
-        for j in range(1, k):
-            conv = conv + windows[j] @ filters[j]
-        conv = (conv + params["cnn.bias"]).reshape(1, positions, n_filters)
-        features = np.maximum(conv, 0.0).max(axis=1)
+        features = cnn_full_length(table, np.asarray([ids], dtype=np.int64),
+                                   params["cnn.filters"], params["cnn.bias"])[0]
     else:
         length = min(true_length, len(ids))
         x = table[np.asarray(ids[:length], dtype=np.int64)]
@@ -173,24 +178,29 @@ def forward_probs_per_record(arch: str, params, ids, true_length: int) -> np.nda
     return e / e.sum()
 
 
-def cnn_full_length(x: np.ndarray, filters: np.ndarray, bias: np.ndarray):
-    """The convolution over every window of the padded batch (B, T, d),
-    trailing windows that read only padding included, as the package
-    computed it before it skipped those: k shifted (B*P, d) @ (d, F)
-    products, ReLU, max over the P positions. Returns the pooled (B, F)
-    and back(d_out) -> (d_x, {"cnn.filters", "cnn.bias"}), the gradient
-    of each pooled value going to its first maximum."""
+def cnn_full_length(table: np.ndarray, ids: np.ndarray, filters: np.ndarray, bias: np.ndarray):
+    """The convolution over every window of the padded records `ids` (B, T),
+    trailing windows that read only padding included: each window is the
+    sum over the offsets j of its j-th id's row of `per_id_product` with the
+    (d, k*F) matrix of all k offsets of the (k, d, F) `filters`, then the
+    bias; ReLU, max over the P positions. Returns the pooled (B, F) and
+    back(d_out) -> (d_x (B, T, d), {"cnn.filters" (k, d, F), "cnn.bias"}),
+    the gradient of each pooled value going to its first maximum and on
+    through k shifted (B*P, d) @ (d, F) window products."""
+    x = table[ids]
     batch, t_max, d = x.shape
     k, _, n_filters = filters.shape
     positions = t_max - k + 1
-    windows = [x[:, j:j + positions].reshape(batch * positions, d) for j in range(k)]
-    conv = windows[0] @ filters[0]
+    offsets = per_id_product(x.reshape(-1, d), filters.transpose(1, 0, 2).reshape(d, -1))
+    offsets = offsets.reshape(batch, t_max, k, n_filters)
+    conv = offsets[:, :positions, 0]
     for j in range(1, k):
-        conv = conv + windows[j] @ filters[j]
-    conv = (conv + bias).reshape(batch, positions, n_filters)
+        conv = conv + offsets[:, j:j + positions, j]
+    conv = conv + bias
     act = np.maximum(conv, 0.0)
 
     def back(d_out):
+        windows = [x[:, j:j + positions].reshape(batch * positions, d) for j in range(k)]
         d_conv = np.zeros_like(conv)
         np.put_along_axis(d_conv, act.argmax(axis=1)[:, None], d_out[:, None], axis=1)
         d_conv = (d_conv * (conv > 0)).reshape(batch * positions, n_filters)

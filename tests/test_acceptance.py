@@ -88,7 +88,7 @@ def test_criterion_2_state_update_oracle():
         w = rng.uniform(-2, 2, (h, h + d))
         b = rng.uniform(-2, 2, h)
         seq = rng.uniform(-2, 2, (max(length, 1), d))
-        got = recurrent_forward(seq[:length], np.array([length]),
+        got = recurrent_forward(seq[:length], np.arange(length), np.array([length]),
                                 {"srnn.w": w.T.copy(), "srnn.b": b}, "srnn")[0][0]
         want = srnn_unroll(w, b, seq[:length])
         worst = max(worst, float(np.max(np.abs(got - want))) if got.size else 0.0)
@@ -111,9 +111,10 @@ def test_criterion_3_bidirectional_decomposition():
             params[f"blstm.{direction}.b"] = rng.uniform(-1, 1, 4 * h)
         seq = rng.uniform(-1, 1, (max(t_max, 1), d))
         lengths = np.array([length])
-        both = blstm_forward(seq[:length], lengths, params)[0][0]
-        fwd_half = recurrent_forward(seq[:length], lengths, params, "blstm.fwd")[0][0]
-        bwd_half = recurrent_forward(seq[:length][::-1].copy(), lengths, params,
+        rows = np.arange(length)   # the record's rows read in order, as the table
+        both = blstm_forward(seq[:length], rows, lengths, params)[0][0]
+        fwd_half = recurrent_forward(seq[:length], rows, lengths, params, "blstm.fwd")[0][0]
+        bwd_half = recurrent_forward(seq[:length], rows[::-1], lengths, params,
                                      "blstm.bwd")[0][0]
         exact = exact and np.array_equal(both[:h], fwd_half) \
             and np.array_equal(both[h:], bwd_half)

@@ -673,6 +673,28 @@ class TestPredict:
         payload = json.loads(stdout)
         assert abs(sum(payload["probs"]) - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("text, warned", [("the and is", True),
+                                              ("bravo filler1 common token", False)])
+    def test_text_is_cleansed_once(self, checkpoint, capsys, monkeypatch, text, warned):
+        # the warning comes from the encoded sequence; the warning line and the
+        # printed JSON are the Predictor's, as they were when it cleansed twice
+        _, want = metrics.Predictor(load_checkpoint(checkpoint)).predict(text)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        real = metrics.cleanse_text
+        monkeypatch.setattr(metrics, "cleanse_text", counted)
+        monkeypatch.setattr(cli, "cleanse_text", counted)
+        code, stdout, err = run(["predict", "--checkpoint", str(checkpoint), "--text", text],
+                                capsys)
+        assert code == 0 and len(calls) == 1
+        assert err == ("warning: input is empty after cleansing; predicting from an "
+                       "all-padding sequence\n" if warned else "")
+        assert stdout == jsonio.dumps({"class": models.predict_class(want).label,
+                                       "probs": [float(p) for p in want]}) + "\n"
+
     def test_same_text_twice_identical(self, checkpoint, capsys):
         argv = ["predict", "--checkpoint", str(checkpoint), "--text",
                 "charlie common filler2"]

@@ -88,34 +88,44 @@ def lstm_as_arrays(p, prefix="lstm"):
 
 
 def run(seq, length, params, prefix):
-    """recurrent_forward over the first `length` rows of `seq` as a batch of one."""
+    """recurrent_forward over the first `length` rows of `seq` as a batch of
+    one: the rows are the table, read in order."""
     rows = np.asarray(seq, dtype=np.float64)[:length]
-    return recurrent_forward(rows, np.array([length]), params, prefix)[0][0]
+    return recurrent_forward(rows, np.arange(length), np.array([length]), params, prefix)[0][0]
 
 
 def run_blstm(seq, length, params):
     rows = np.asarray(seq, dtype=np.float64)[:length]
-    return blstm_forward(rows, np.array([length]), params)[0][0]
+    return blstm_forward(rows, np.arange(length), np.array([length]), params)[0][0]
+
+
+def conv(x, filters, bias, lengths, train=True):
+    """cnn_forward over the rows of `x` read in order, the records laid end to
+    end, with `filters` given as the checkpoint keeps them, (k, d, F)."""
+    params = {"cnn.filters": np.asarray(filters, dtype=np.float64).swapaxes(0, 1).copy(),
+              "cnn.bias": np.asarray(bias, dtype=np.float64)}
+    return cnn_forward(x, np.arange(len(x)), lengths, params, train)
 
 
 class TestEmbedding:
     def test_gather_semantics(self):
-        out, _ = embedding_lookup([2, 0], np.arange(12.0).reshape(4, 3))
-        np.testing.assert_array_equal(out, [[6, 7, 8], [0, 1, 2]])
+        # through an identity weight the projection is the embedding row
+        inverse, (out,), _ = embedding_lookup([2, 0], np.arange(12.0).reshape(4, 3), [np.eye(3)])
+        np.testing.assert_array_equal(out[inverse], [[6, 7, 8], [0, 1, 2]])
 
     def test_repeated_id_accumulates_gradient(self):
         # row form: only row 3 is read, so it is the only row named
-        _, backward = embedding_lookup([3, 3], np.ones((4, 2)))
-        rows, values = backward(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        _, _, backward = embedding_lookup([3, 3], np.ones((4, 2)), [np.eye(2)])
+        _, (rows, values) = backward([np.array([[1.0, 2.0], [3.0, 4.0]])])
         np.testing.assert_array_equal(rows, [3])
         np.testing.assert_array_equal(values, [[4.0, 6.0]])
 
     def test_id_out_of_range(self):
         table = np.zeros((4, 2))
         with pytest.raises(IdOutOfRange):
-            embedding_lookup([4], table)
+            embedding_lookup([4], table, [np.eye(2)])
         with pytest.raises(IdOutOfRange):
-            embedding_lookup([-1], table)
+            embedding_lookup([-1], table, [np.eye(2)])
 
 
 class TestSrnnStep:
@@ -217,7 +227,7 @@ class TestRecurrentForward:
         p = random_lstm_params(rng, 3, 2)
         rows = rng.uniform(-1, 1, (2, 4, 2))
         packed = np.concatenate([rows[:n, t] for t, n in enumerate([2, 2, 1, 1])])
-        h, _ = recurrent_forward(packed, np.array([4, 2]), p, "lstm")
+        h, _ = recurrent_forward(packed, np.arange(len(packed)), np.array([4, 2]), p, "lstm")
         np.testing.assert_allclose(h[0], run(rows[0], 4, p, "lstm"), atol=1e-15, rtol=0)
         np.testing.assert_allclose(h[1], run(rows[1], 2, p, "lstm"), atol=1e-15, rtol=0)
 
@@ -259,7 +269,7 @@ class TestBlstm:
 class TestCnn:
     def test_zero_filters_zero_output(self):
         x = np.random.default_rng(0).uniform(-1, 1, (1, 5, 3))
-        out, _ = cnn_forward(x.reshape(-1, 3), np.zeros((2, 3, 4)), np.zeros(4), np.full(1, 5))
+        out, _ = conv(x.reshape(-1, 3), np.zeros((2, 3, 4)), np.zeros(4), np.full(1, 5))
         np.testing.assert_array_equal(out, np.zeros((1, 4)))
 
     def test_indicator_filter_is_channel_max(self):
@@ -268,19 +278,19 @@ class TestCnn:
         j = 2
         filters = np.zeros((1, 3, 1))
         filters[0, j, 0] = 1.0
-        out, _ = cnn_forward(seq, filters, np.zeros(1), np.full(1, 6))
+        out, _ = conv(seq, filters, np.zeros(1), np.full(1, 6))
         assert float(out[0, 0]) == pytest.approx(np.max(np.maximum(seq[:, j], 0.0)), abs=0)
 
     def test_huge_negative_bias_clamps_to_zero(self):
         rng = np.random.default_rng(2)
-        out, _ = cnn_forward(rng.uniform(-1, 1, (1, 5, 3)).reshape(-1, 3),
-                             rng.uniform(-1, 1, (2, 3, 4)), np.full(4, -1e6), np.full(1, 5))
+        out, _ = conv(rng.uniform(-1, 1, (1, 5, 3)).reshape(-1, 3),
+                      rng.uniform(-1, 1, (2, 3, 4)), np.full(4, -1e6), np.full(1, 5))
         np.testing.assert_array_equal(out, np.zeros((1, 4)))
 
     def test_kernel_too_large(self):
         with pytest.raises(KernelTooLarge):
-            cnn_forward(np.zeros((1, 3, 2)).reshape(-1, 2), np.zeros((4, 2, 1)), np.zeros(1),
-                        np.full(1, 3))
+            conv(np.zeros((1, 3, 2)).reshape(-1, 2), np.zeros((4, 2, 1)), np.zeros(1),
+                 np.full(1, 3))
 
     def test_matches_naive_convolution(self):
         rng = np.random.default_rng(3)
@@ -288,13 +298,13 @@ class TestCnn:
         batch = rng.uniform(-1, 1, (2, t, d))
         filters = rng.uniform(-1, 1, (k, d, f))
         bias = rng.uniform(-1, 1, f)
-        out, _ = cnn_forward(batch.reshape(-1, d), filters, bias, np.full(2, t))
+        out, _ = conv(batch.reshape(-1, d), filters, bias, np.full(2, t))
         for seq, got in zip(batch, out):
             naive = np.full(f, -np.inf)
             for pos in range(t - k + 1):
                 window = seq[pos:pos + k]  # (k, d)
-                conv = np.einsum("kd,kdf->f", window, filters) + bias
-                naive = np.maximum(naive, np.maximum(conv, 0.0))
+                value = np.einsum("kd,kdf->f", window, filters) + bias
+                naive = np.maximum(naive, np.maximum(value, 0.0))
             np.testing.assert_allclose(got, naive, atol=1e-12, rtol=0)
 
     def test_nan_window_pools_to_nan_and_back_does_not_fail(self):
@@ -303,24 +313,36 @@ class TestCnn:
         rng = np.random.default_rng(4)
         x = rng.uniform(-1, 1, (2, 6, 3))
         x[0, 2, 1] = np.nan
-        out, back = cnn_forward(x.reshape(-1, 3), rng.uniform(-1, 1, (2, 3, 4)),
-                                rng.uniform(-1, 1, 4), np.full(2, 6))
+        out, back = conv(x.reshape(-1, 3), rng.uniform(-1, 1, (2, 3, 4)),
+                         rng.uniform(-1, 1, 4), np.full(2, 6))
         assert np.isnan(out[0]).all() and np.isfinite(out[1]).all()
-        d_x, grads = back(np.ones((2, 4)))
+        grads = back(np.ones((2, 4)))
+        d_x = dense_table(grads["embedding.table"], (12, 3))
         assert np.isfinite(d_x.reshape(x.shape)[1]).all()
-        assert grads["cnn.filters"].shape == (2, 3, 4)
+        assert grads["cnn.filters"].shape == (3, 2, 4)
+
+    def test_scoring_keeps_nothing_and_pools_the_same(self):
+        rng = np.random.default_rng(5)
+        x, filters, bias = rng.uniform(-1, 1, (13, 3)), rng.uniform(-1, 1, (2, 3, 4)), np.zeros(4)
+        lengths = np.array([6, 2, 5])
+        trained, back = conv(x, filters, bias, lengths)
+        scored, none = conv(x, filters, bias, lengths, train=False)
+        assert none is None and back is not None
+        assert scored.tobytes() == trained.tobytes()
 
 
 def full_length_encoder(params, seqs):
     """The CNN encoder over every window of the padded records
     (`oracles.cnn_full_length`); back(d_features) -> its gradients, the
-    embedding table's dense."""
+    embedding table's dense and the filters as held, (d, k, F)."""
     ids = np.array([s.ids for s in seqs], dtype=np.int64)
     table = params["embedding.table"]
-    features, conv_back = cnn_full_length(table[ids], params["cnn.filters"], params["cnn.bias"])
+    features, conv_back = cnn_full_length(table, ids, params["cnn.filters"].swapaxes(0, 1),
+                                          params["cnn.bias"])
 
     def back(d_features):
         d_x, grads = conv_back(d_features)
+        grads["cnn.filters"] = grads["cnn.filters"].swapaxes(0, 1)
         grads["embedding.table"] = np.zeros_like(table)
         np.add.at(grads["embedding.table"], ids, d_x)
         return grads
@@ -335,8 +357,8 @@ def cnn_records(max_len, lengths, rng, vocab_size=40):
 
 class TestCnnWindows:
     # the convolution reads each record only through its last non-padding
-    # id and two windows more; at the default sizes every feature is the
-    # full-length convolution's bit for bit, and every gradient within 1e-12
+    # id and one window more; every feature is the full-length convolution's
+    # bit for bit, and every gradient within 1e-12
     CASES = {
         "mixed": (24, 5, [0, 3, 24, 11, 19, 1, 7, 24, 15]),
         "all-padding": (24, 5, [0, 0, 6]),
@@ -474,9 +496,15 @@ class TestBackward:
         ids = np.array([[3, 1, 3], [0, 2, 3]])
         inputs = {"table": rng.uniform(-1, 1, (5, 2))}
 
+        inputs["w"] = rng.uniform(-1, 1, (2, 3))
+
         def forward(p):
-            rows, backward = embedding_lookup(ids, p["table"])
-            return rows, lambda d: {"table": dense_table(backward(d), p["table"].shape)}
+            inverse, (projection,), backward = embedding_lookup(ids, p["table"], [p["w"]])
+
+            def grads(d):
+                (d_w,), table_grad = backward([d.reshape(-1, 3)])
+                return {"table": dense_table(table_grad, p["table"].shape), "w": d_w}
+            return projection[inverse].reshape(2, 3, 3), grads
         assert layer_check(forward, inputs) < 1e-6
 
     def test_shared_weight_accumulates_across_uses(self):
@@ -491,11 +519,11 @@ class TestBackward:
             inputs["x"] = rng.uniform(-1, 1, (9, 2))  # packed rows of lengths 4, 3, 2, 0
 
             def forward(p, arch=arch):
-                h, backward = models.recurrent_forward(p["x"], lengths, p, arch)
+                h, backward = models.recurrent_forward(p["x"], np.arange(9), lengths, p, arch)
 
                 def grads(d):
-                    d_x, named = backward(d)
-                    return dict(named, x=d_x)
+                    named = backward(d)
+                    return dict(named, x=dense_table(named.pop("embedding.table"), (9, 2)))
                 return h, grads
             assert layer_check(forward, inputs) < 1e-6, arch
 
@@ -508,25 +536,26 @@ class TestBackward:
         lengths = np.array([3, 3, 1, 1])
 
         def forward(p):
-            h, backward = models.blstm_forward(p["x"], lengths, p)
+            h, backward = models.blstm_forward(p["x"], np.arange(8), lengths, p)
 
             def grads(d):
-                d_x, named = backward(d)
-                return dict(named, x=d_x)
+                named = backward(d)
+                return dict(named, x=dense_table(named.pop("embedding.table"), (8, 2)))
             return h, grads
         assert layer_check(forward, inputs) < 1e-6
 
     def test_cnn_backward_matches_finite_differences(self):
         rng = np.random.default_rng(3)
+        # the filters as held, (d, k, F)
         inputs = {"x": rng.uniform(-1, 1, (3, 6, 2)).reshape(-1, 2),
-                  "cnn.filters": rng.uniform(-1, 1, (3, 2, 4)), "cnn.bias": rng.uniform(-1, 1, 4)}
+                  "cnn.filters": rng.uniform(-1, 1, (2, 3, 4)), "cnn.bias": rng.uniform(-1, 1, 4)}
 
         def forward(p):
-            out, backward = cnn_forward(p["x"], p["cnn.filters"], p["cnn.bias"], np.full(3, 6))
+            out, backward = cnn_forward(p["x"], np.arange(18), np.full(3, 6), p)
 
             def grads(d):
-                d_x, named = backward(d)
-                return dict(named, x=d_x)
+                named = backward(d)
+                return dict(named, x=dense_table(named.pop("embedding.table"), (18, 2)))
             return out, grads
         assert layer_check(forward, inputs) < 1e-6
 
@@ -585,18 +614,19 @@ class TestBackward:
                                       ((d_logits @ head["head.w2"]) * (pre > 0)).sum(axis=0))
 
     def test_gather_with_repeats_accumulates_rows(self):
-        rows, backward = embedding_lookup([1, 1, 0], np.arange(6.0).reshape(3, 2))
-        np.testing.assert_array_equal(rows, [[2, 3], [2, 3], [0, 1]])
-        read, values = backward(np.ones((3, 2)))
+        inverse, (projection,), backward = embedding_lookup(
+            [1, 1, 0], np.arange(6.0).reshape(3, 2), [np.eye(2)])
+        np.testing.assert_array_equal(projection[inverse], [[2, 3], [2, 3], [0, 1]])
+        _, (read, values) = backward([np.ones((3, 2))])
         np.testing.assert_array_equal(read, [0, 1])
         np.testing.assert_array_equal(values, [[1, 1], [2, 2]])
 
     def test_max_routes_gradient_to_first_maximum(self):
         x = np.array([[[1.0], [3.0], [3.0]]])
-        out, backward = cnn_forward(x.reshape(-1, 1), np.ones((1, 1, 1)), np.zeros(1),
-                                    np.full(1, 3))
+        out, backward = conv(x.reshape(-1, 1), np.ones((1, 1, 1)), np.zeros(1), np.full(1, 3))
         assert out.tolist() == [[3.0]]
-        d_x, grads = backward(np.ones((1, 1)))
+        grads = backward(np.ones((1, 1)))
+        d_x = dense_table(grads["embedding.table"], (3, 1))
         np.testing.assert_array_equal(d_x.reshape(x.shape), [[[0.0], [1.0], [0.0]]])
         np.testing.assert_array_equal(grads["cnn.filters"], [[[3.0]]])
 
@@ -654,14 +684,14 @@ class TestLossAndGrads:
 
     @pytest.mark.parametrize("arch", models.ARCHITECTURES)
     def test_scorer_is_the_training_forward(self, arch):
-        # every forward product, in training and in scoring, is the one a
-        # batch of one makes; at the default sizes a gemm over a batch's rows,
-        # in the input projection or in the head, differs from it in the last
-        # bits. So a recurrent batch's training forward gives each record its
-        # scored row and the batch the scorer's loss, bit for bit, and so does
-        # the CNN, scored one record per call, on batches of one. At O(1)
-        # parameters the loss carries the logits' last bits; the lengths make
-        # 8, 6, 5, 4 and 3 running rows, straddling a 4-row step block.
+        # every forward product, in training and in scoring, is a row of a
+        # block (the per-id input projection, the recurrent steps) or a gemv
+        # of its own row (the head); at the default sizes a gemm over a
+        # batch's rows differs from it in the last bits. So a batch's training
+        # forward gives each record its scored row and the batch the scorer's
+        # loss, bit for bit, for every architecture. At O(1) parameters the
+        # loss carries the logits' last bits; the lengths make 8, 6, 5, 4 and
+        # 3 running rows, straddling a 4-row step block.
         config = ModelConfig(arch, vocab_size=40, max_len=24)
         rng = np.random.default_rng(4)
         params = random_params(config, rng)
@@ -669,9 +699,7 @@ class TestLossAndGrads:
                 for n in (9, 24, 0, 1, 24, 13, 5)]
         seqs += [seqs[1], seqs[3]]
         labels = rng.integers(0, 3, len(seqs)).tolist()
-        batches = ([[k] for k in range(len(seqs))] if arch == "cnn"
-                   else [range(len(seqs)), range(3), range(2, 8)])
-        for batch in batches:
+        for batch in [range(len(seqs)), range(3), range(2, 8)]:
             records, answers = [seqs[k] for k in batch], [labels[k] for k in batch]
             probs = models.score(config, params, records)
             features, _ = encode_features(config, params, records)
@@ -970,6 +998,10 @@ OVERLONG = [TokenSequence([2, 3, 0, 0], 9), TokenSequence([2, 3, 0, 0], 4)]
 # six records whose running rows straddle a step block: 6, 5, 4 and 3 rows run
 STRADDLING = [TokenSequence([(3 * i + 5 * n) % 11 for i in range(8)], n)
               for n in (8, 3, 8, 6, 8, 1)]
+# five records that share ids: together they read 7 distinct ids, a block and
+# three rows, and alone 4, 3, 2, 2 and 1 (the CNN the padding id besides)
+SHARED = [TokenSequence(ids + [0] * (8 - len(ids)), len(ids))
+          for ids in ([2, 3, 4, 2, 5], [5, 6, 7], [3, 8, 3, 3], [7, 2], [4, 4, 4])]
 
 
 class TestScore:
@@ -978,11 +1010,17 @@ class TestScore:
     # changes with their count; a row of a step block does not
     @example(scoring_example("srnn", STRADDLING, hidden_units=33, embedding_dim=17))
     @example(scoring_example("lstm", STRADDLING, hidden_units=33, embedding_dim=17))
+    # and so does a row of one plain gemm over the distinct ids a chunk reads
+    # (one row alone is a gemv); a row of a projection block does not
+    @example(scoring_example("srnn", SHARED, hidden_units=33, embedding_dim=17))
+    @example(scoring_example("lstm", SHARED, hidden_units=33, embedding_dim=17))
+    @example(scoring_example("cnn", SHARED, conv_filters=33, embedding_dim=17, conv_kernel=2))
     @settings(max_examples=80, deadline=None)
     def test_each_row_is_the_record_scored_alone(self, case):
-        # the recurrent step products are taken in blocks of STEP_BLOCK rows
-        # and the head products one gemv per row, so no row depends on its
-        # batch; one gemm over all the rows would break this in the last bits
+        # the input projection and the recurrent step products are taken in
+        # blocks of STEP_BLOCK rows and the head products one gemv per row, so
+        # no row depends on its batch; one gemm over all the rows would break
+        # this in the last bits
         config, params, seqs = case
         probs = models.score(config, params, seqs)
         assert probs.shape == (len(seqs), 3)
@@ -992,8 +1030,7 @@ class TestScore:
             assert np.array_equal(alone[0], models.forward_probs(config, params, seq))
 
     @given(scoring_batches())
-    # an all-padding CNN record: at these sizes a one-window product is a gemv
-    # whose bits differ from a gemm row, so `_conv_lengths` must keep two windows
+    # an all-padding CNN record, whose one window reads only the padding id
     @example(scoring_example("cnn", [TokenSequence([0] * 6, 0)], seed=19, embedding_dim=2,
                              conv_kernel=1))
     @example(scoring_example("cnn", [TokenSequence([0] * 6, 0)], seed=19, embedding_dim=2,
