@@ -73,6 +73,10 @@ MUTANTS = [
     Mutant("trailing-bytes-accepted", "src/aerotext/training.py",
            "if at != len(buf):", "if False:",
            "a checkpoint with bytes after its last tensor loads"),
+    Mutant("read-tensor-zero-copy", "src/aerotext/training.py",
+           "values.astype(np.float64).reshape(shape)", "values.reshape(shape)",
+           "loaded tensors left as views of the file's bytes, at offsets that are not "
+           "multiples of 8, with which scoring moves in its last bits"),
     Mutant("adam-read-row-taken-as-new", "src/aerotext/training.py",
            "new = rows[self.slot[rows] < 0]", "new = rows[self.slot[rows] < 1]",
            "the table row read first gets a fresh moment slot each step, losing its momentum"),
@@ -128,6 +132,12 @@ MUTANTS = [
            "f1 = 2 * precision * recall / (precision + recall) if",
            "f1 = 2 * precision * recall / (precision + recall + 1e-12) if",
            "an epsilon in F1's denominator"),
+    Mutant("forget-bias-on-input-gate", "src/aerotext/models.py",
+           'name == f"{self.name}_f"', 'name == f"{self.name}_i"',
+           "the LSTM's +1 initial bias set on the input gate's part, not the forget gate's"),
+    Mutant("fuse-copies-every-tensor", "src/aerotext/models.py",
+           "        if spec.name in tensors:\n", "        if False:\n",
+           "a loaded checkpoint's embedding table held twice, once by the Predictor"),
     Mutant("lstm-backward-drops-forget-gate", "src/aerotext/models.py",
            "\n                dc[:n] *= f", "",
            "the LSTM backward passes the cell gradient on without the forget gate"),

@@ -177,7 +177,8 @@ def cmd_prepare(args) -> int:
         write_csv(out_dir / filename, SPLIT_HEADER,
                   ([r.label.label, r.summary] for r in getattr(split, name)))
     vocab.save(out_dir / "vocab.tsv")
-    (out_dir / "stats.json").write_text(stats.to_json() + "\n", encoding="utf-8")
+    (out_dir / "stats.json").write_text(jsonio.dumps(stats.to_json_dict()) + "\n",
+                                        encoding="utf-8")
     (out_dir / "stopwords.txt").write_text(
         "\n".join(sorted(stopwords)) + "\n", encoding="utf-8")
     write_csv(out_dir / "unmapped.csv", ["operator", "count"],
@@ -271,7 +272,7 @@ def cmd_train(args) -> int:
         inputs={name: data_dir / filename for name, filename in
                 dict(SPLIT_FILES, vocab="vocab.tsv", stopwords="stopwords.txt",
                      prepare_manifest="manifest.json").items()},
-        config={"model": model_config.to_json_dict(),
+        config={"model": asdict(model_config),
                 # the seed is recorded at the manifest's top level
                 "train": {key: value for key, value in asdict(train_config).items()
                           if key != "seed"}},
@@ -308,7 +309,7 @@ def cmd_evaluate(args) -> int:
         out_dir, "evaluate", None,
         inputs={"checkpoint": Path(args.checkpoint),
                 "records": data_dir / SPLIT_FILES[args.split]},
-        config={"split": args.split, "model": checkpoint.config.to_json_dict(),
+        config={"split": args.split, "model": asdict(checkpoint.config),
                 "checkpoint_epoch": checkpoint.epoch},
         outputs={key: str(path) for key, path in paths.items()})
     print(f"{report.accuracy:.4f}")

@@ -57,20 +57,6 @@ class ClassificationReport:
     weighted_f1: float
     accuracy: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "per_class": {
-                name: {"precision": m.precision, "recall": m.recall,
-                       "f1": m.f1, "support": m.support}
-                for name, m in zip(CLASS_NAMES, self.per_class)
-            },
-            "macro": {"precision": self.macro_precision, "recall": self.macro_recall,
-                      "f1": self.macro_f1},
-            "weighted": {"precision": self.weighted_precision,
-                         "recall": self.weighted_recall, "f1": self.weighted_f1},
-            "accuracy": self.accuracy,
-        }
-
 
 def classification_report(counts: np.ndarray) -> ClassificationReport:
     counts = np.asarray(counts)
@@ -153,14 +139,23 @@ def evaluate_model(checkpoint: ModelCheckpoint,
 
 def report_json_dict(report: ClassificationReport, counts: np.ndarray,
                      model_name: str) -> dict:
-    body = report.to_json_dict()
-    body.update({
+    """The body of report.json."""
+    return {
+        "per_class": {
+            name: {"precision": m.precision, "recall": m.recall, "f1": m.f1,
+                   "support": m.support}
+            for name, m in zip(CLASS_NAMES, report.per_class)
+        },
+        "macro": {"precision": report.macro_precision, "recall": report.macro_recall,
+                  "f1": report.macro_f1},
+        "weighted": {"precision": report.weighted_precision,
+                     "recall": report.weighted_recall, "f1": report.weighted_f1},
+        "accuracy": report.accuracy,
         "schema_version": REPORT_SCHEMA_VERSION,
         "matrix_orientation": MATRIX_ORIENTATION,
         "model": model_name,
         "confusion_matrix": [[int(v) for v in row] for row in np.asarray(counts)],
-    })
-    return body
+    }
 
 
 def export_reports(report: ClassificationReport, counts: np.ndarray,

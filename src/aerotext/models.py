@@ -29,9 +29,11 @@ LSTM's four gates are fused in f, i, o, g order (Appleyard et al.,
 arXiv:1604.01946). The CNN's (k, d, F) filters are held as (d, k, F), the
 (d, k*F) matrix of its k filter offsets side by side. Only the checkpoint
 keeps the unswapped tensors, one per gate: views of the held ones
-(`checkpoint_views`, `fuse_checkpoint`). Each layer function returns its
-output and a closure, `back`, that maps the gradient of that output to the
-gradients of the layer's parameters. `loss_and_grads` chains the layers
+(`checkpoint_views`, `fuse_checkpoint`). `ParamSpec.stored_views` is the
+one map between the two layouts; initialization, the checkpoint's names
+and shapes, saving and loading all read it. Each layer function returns
+its output and a closure, `back`, that maps the gradient of that output to
+the gradients of the layer's parameters. `loss_and_grads` chains the layers
 over a training batch; its loss, like that of training's scoring pass, is
 `cross_entropy`. The embedding table's gradient is in row form,
 `(rows, values)`: the distinct ids the batch read and one gradient row
@@ -82,7 +84,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,9 +136,6 @@ class ModelConfig:
             return 2 * self.hidden_units
         return self.hidden_units
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 # --- the parameter table ----------------------------------------------------
 
@@ -152,18 +151,20 @@ class ParamSpec:
     matrix [W_hᵀ; W_xᵀ], whose row blocks are w_hᵀ and w_xᵀ; the CNN's
     (k, d, F) filters are held as (d, k, F), in memory the (d, k*F) matrix
     of every filter offset side by side. `shape` is the shape held; the
-    checkpoint keeps the unswapped tensor (`stored`), cut into its gates'
-    row blocks if it has parts.
+    checkpoint keeps the unswapped tensor, cut into its gates' row blocks if
+    it has parts. `stored_views` is the one map from the held tensor to the
+    checkpoint's, and the only reader of `transposed`.
 
-    `init` is one of
-      "glorot"       uniform within sqrt(6/(fan_in+fan_out)), fans given;
-                     a transposed tensor draws its unswapped tensor
+    `init` gives the initial values of each of the spec's checkpoint
+    tensors, in the shape the checkpoint stores (`initial`):
+      "glorot"       uniform within sqrt(6/(fan_in+fan_out)), fans given
       "embedding"    uniform in +-0.05, except the padding row 0, which
                      starts at zero so padded positions contribute nothing
                      to the convolution until trained
       "zeros"
-      "forget_bias"  +1 on the forget gate block, so early training does
-                     not erase the LSTM cell state
+      "forget_bias"  ones for the forget gate's part `<name>_f`, zeros for
+                     the others, so early training does not erase the LSTM
+                     cell state
     """
 
     name: str
@@ -181,37 +182,26 @@ class ParamSpec:
         size = len(rows) // len(names)
         return {name: rows[k * size:(k + 1) * size] for k, name in enumerate(names)}
 
-    @property
-    def stored(self) -> dict[str, tuple[int, ...]]:
-        """Its checkpoint names and shapes, in row order (the views of a
-        zero-stride array, so nothing is allocated)."""
-        return {name: view.shape
-                for name, view in self.stored_views(np.broadcast_to(0.0, self.shape)).items()}
-
-    def initial(self, rng: np.random.Generator) -> np.ndarray:
+    def initial(self, name: str, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+        """The initial values of its checkpoint tensor `name`, of the stored
+        shape `shape`; a random init draws them from `rng`."""
         if self.init == "glorot":
             fan_in, fan_out = self.fans
             bound = math.sqrt(6.0 / (fan_in + fan_out))
-            if self.transposed:
-                stored = (self.shape[1], self.shape[0], *self.shape[2:])
-                return rng.uniform(-bound, bound, stored).swapaxes(0, 1)
-            return rng.uniform(-bound, bound, self.shape)
+            return rng.uniform(-bound, bound, shape)
         if self.init == "embedding":
-            table = rng.uniform(-0.05, 0.05, self.shape)
+            table = rng.uniform(-0.05, 0.05, shape)
             table[0] = 0.0
             return table
-        values = np.zeros(self.shape)
-        if self.init == "forget_bias":
-            values[:self.shape[0] // len(self.parts)] = 1.0
-        return values
+        return np.full(shape, float(self.init == "forget_bias" and name == f"{self.name}_f"))
 
 
 def parameter_table(config: ModelConfig) -> list[ParamSpec]:
     """Every parameter tensor of the configured model.
 
-    Initialization draws from the seeded generator in this order, so the
-    order fixes the initial values; a fused LSTM matrix is one draw, which
-    reads the generator as one draw per gate did.
+    Initialization draws from the seeded generator in this order, each
+    spec's checkpoint tensors in row order (`init_params`), so the order
+    fixes the initial values.
     """
     h, d, u = config.hidden_units, config.embedding_dim, config.head_units
     k, f, feat = config.conv_kernel, config.conv_filters, config.feature_size
@@ -238,9 +228,17 @@ def parameter_table(config: ModelConfig) -> list[ParamSpec]:
             ParamSpec("head.b2", (NUM_CLASSES,), "zeros")]
 
 
+def _parameter_count(config: ModelConfig) -> int:
+    """The length of the flat parameter vector."""
+    return sum(math.prod(spec.shape) for spec in parameter_table(config))
+
+
 def expected_parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """The name and shape of every checkpoint tensor, in table order."""
-    return {name: shape for spec in parameter_table(config) for name, shape in spec.stored.items()}
+    """The name and shape of every checkpoint tensor, in table order: those
+    of the `checkpoint_views` of a zero-stride vector, so nothing is
+    allocated."""
+    zeros = np.broadcast_to(0.0, _parameter_count(config))
+    return {name: view.shape for name, view in checkpoint_views(config, zeros).items()}
 
 
 def check_parameter_shapes(config: ModelConfig, arrays: Mapping[str, np.ndarray]) -> None:
@@ -267,37 +265,44 @@ def parameter_views(config: ModelConfig, flat: np.ndarray) -> Params:
 
 
 def checkpoint_views(config: ModelConfig, flat: np.ndarray) -> Params:
-    """The checkpoint tensors of a flat parameter vector without a copy: a
-    transposed tensor's are views of it with its first two axes swapped, a
-    cell's gate tensors column blocks of the held matrix so viewed
-    (`ParamSpec.stored_views`)."""
+    """The checkpoint tensors of a flat parameter vector, in table order,
+    each a view of it (`ParamSpec.stored_views`)."""
     params = parameter_views(config, flat)
     return {name: block for spec in parameter_table(config)
             for name, block in spec.stored_views(params[spec.name]).items()}
 
 
 def fuse_checkpoint(config: ModelConfig, tensors: Mapping[str, np.ndarray]) -> Params:
-    """The parameters of checkpoint tensors, after `check_parameter_shapes`:
-    a transposed or fused tensor's checkpoint tensors copied once into the
-    array that holds them, at their places in it (`ParamSpec.stored_views`),
-    every other tensor as it is."""
+    """The parameters of checkpoint tensors, after `check_parameter_shapes`.
+    A tensor stored whole, in the order it is held (`ParamSpec.stored_views`
+    maps it to one contiguous view), is its checkpoint tensor, shared, so a
+    loaded embedding table is not held twice; every other tensor is a new
+    array, its checkpoint tensors copied into their views of it."""
     check_parameter_shapes(config, tensors)
     params = {}
     for spec in parameter_table(config):
-        if spec.parts or spec.transposed:
-            params[spec.name] = np.empty(spec.shape)
-            for name, view in spec.stored_views(params[spec.name]).items():
-                view[...] = tensors[name]
-        else:
-            params[spec.name] = tensors[spec.name]
+        if spec.name in tensors:
+            held = tensors[spec.name].reshape(spec.shape)
+            if spec.stored_views(held)[spec.name].flags.c_contiguous:
+                params[spec.name] = held
+                continue
+        params[spec.name] = np.empty(spec.shape)
+        for name, view in spec.stored_views(params[spec.name]).items():
+            view[...] = tensors[name]
     return params
 
 
 def init_params(config: ModelConfig, seed: int) -> np.ndarray:
-    """Seeded deterministic initialization: one flat vector, drawn tensor by
-    tensor in table order."""
+    """Seeded deterministic initialization: one flat vector, whose
+    checkpoint tensors are drawn in table order, each in its stored shape
+    and straight into its view of the vector (`ParamSpec.stored_views`)."""
     rng = np.random.default_rng(seed)
-    return np.concatenate([spec.initial(rng).ravel() for spec in parameter_table(config)])
+    flat = np.empty(_parameter_count(config))
+    params = parameter_views(config, flat)
+    for spec in parameter_table(config):
+        for name, view in spec.stored_views(params[spec.name]).items():
+            view[...] = spec.initial(name, view.shape, rng)
+    return flat
 
 
 # --- layers: each returns (output, back) --------------------------------------

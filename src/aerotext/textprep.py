@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from . import jsonio
 from .errors import EmptyCorpus, InvalidConfig, MalformedCsv, read_utf8, read_utf8_lines
 
 PAD_ID = 0
@@ -82,9 +81,6 @@ class Vocabulary:
     def size(self) -> int:
         """Number of kept tokens (excludes the two reserved ids)."""
         return len(self.token_to_id)
-
-    def id_for(self, token: str) -> int:
-        return self.token_to_id.get(token, OOV_ID)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_tsv(), encoding="utf-8")
@@ -179,9 +175,6 @@ class CorpusStats:
             "p95": self.p95,
             "max": self.max,
         }
-
-    def to_json(self) -> str:
-        return jsonio.dumps(self.to_json_dict())
 
 
 def _nearest_rank(sorted_values: list[int], percentile: float) -> float:

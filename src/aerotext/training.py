@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import astuple, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 from typing import BinaryIO, Mapping, Sequence
 
@@ -175,7 +175,12 @@ def write_tensor(sink: BinaryIO, array: np.ndarray) -> None:
 
 def read_tensor(buf: bytes, at: int) -> tuple[np.ndarray, int]:
     """The tensor at offset `at` of `buf`, and the offset past it. The dims
-    and then the values are checked to fit in `buf` before they are read."""
+    and then the values are checked to fit in `buf` before they are read.
+
+    The values are copied out of `buf`, not viewed in it: a tensor's offset
+    in the file is in general not a multiple of 8, and scoring with such
+    unaligned arrays gives other last bits than with the aligned ones the
+    parameters had when they were saved."""
     rank, at = _unpack("<Q", buf, at)
     values_at = _field(buf, at, 8 * rank)
     shape = struct.unpack_from(f"<{rank}Q", buf, at)
@@ -210,7 +215,7 @@ def save_checkpoint(ckpt: ModelCheckpoint, path: str | Path) -> None:
     """Binary layout: magic ATXC, u32 version, length-prefixed canonical
     JSON metadata, length-prefixed vocabulary TSV, then named tensors in
     the tensor layout above. Little-endian throughout."""
-    meta = dict(ckpt.config.to_json_dict(), epoch=ckpt.epoch,
+    meta = dict(asdict(ckpt.config), epoch=ckpt.epoch,
                 truncate=ckpt.truncate, stopwords=sorted(ckpt.stopwords))
     meta_blob = jsonio.dumps(meta).encode("utf-8")
     vocab_blob = ckpt.vocab.to_tsv().encode("utf-8")

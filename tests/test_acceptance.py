@@ -31,6 +31,7 @@ from aerotext.corpus import (
 from aerotext.metrics import classification_report, confusion_matrix
 from aerotext.models import ModelConfig, blstm_forward, recurrent_forward
 from aerotext.textprep import (
+    OOV_ID,
     Vocabulary,
     cleanse_text,
     default_stopwords,
@@ -221,7 +222,7 @@ class TestCriterion7PreprocessingContract:
         assert len(seq.ids) == max_len
         assert seq.true_length == min(len(tokens), max_len)
         assert all(i == 0 for i in seq.ids[seq.true_length:])  # trailing zeros
-        assert seq.ids[:seq.true_length] == [vocab.id_for(t)
+        assert seq.ids[:seq.true_length] == [vocab.token_to_id.get(t, OOV_ID)
                                              for t in tokens[:max_len]]  # head
 
     @given(st.lists(st.text(alphabet="abcdefg", min_size=1, max_size=5),

@@ -857,13 +857,14 @@ class TestInit:
         finally:
             gc.enable()
 
-    @pytest.mark.parametrize("arch", ["lstm", "blstm"])
+    @pytest.mark.parametrize("arch", models.ARCHITECTURES)
     def test_fused_cells_start_at_the_per_gate_init(self, arch):
-        # the per-gate initialization that checkpoints name: one Glorot draw
-        # per gate matrix in table order, the forget bias at +1
+        # the initialization of the tensors that checkpoints name, each drawn
+        # in its stored shape in table order: one Glorot draw per gate matrix,
+        # the forget bias at +1, and the unswapped sRNN matrix and CNN filters
         config = ModelConfig(arch=arch, vocab_size=7, embedding_dim=3, hidden_units=4,
-                             head_units=5)
-        h, d, u, feat = 4, 3, 5, config.feature_size
+                             head_units=5, conv_filters=6, conv_kernel=2)
+        h, d, u, k, f, feat = 4, 3, 5, 2, 6, config.feature_size
         rng = np.random.default_rng(6)
 
         def glorot(shape, fan_in, fan_out):
@@ -872,7 +873,11 @@ class TestInit:
 
         want = {"embedding.table": rng.uniform(-0.05, 0.05, (9, d))}
         want["embedding.table"][0] = 0.0
-        for prefix in ("lstm",) if arch == "lstm" else ("blstm.fwd", "blstm.bwd"):
+        if arch == "srnn":
+            want |= {"srnn.w": glorot((h, h + d), h + d, h), "srnn.b": np.zeros(h)}
+        elif arch == "cnn":
+            want |= {"cnn.filters": glorot((k, d, f), k * d, f), "cnn.bias": np.zeros(f)}
+        for prefix in {"lstm": ("lstm",), "blstm": ("blstm.fwd", "blstm.bwd")}.get(arch, ()):
             want |= {f"{prefix}.w_{g}": glorot((h, h + d), h + d, h) for g in "fiog"}
             want |= {f"{prefix}.b_{g}": np.full(h, float(g == "f")) for g in "fiog"}
         want |= {"head.w1": glorot((u, feat), feat, u), "head.b1": np.zeros(u),
@@ -905,7 +910,7 @@ class TestInit:
         offsets = np.concatenate([view.ravel() for view in tensors.values()])
         assert np.sort(offsets).tobytes() == flat.tobytes()
         for spec in models.parameter_table(config):
-            for name in spec.stored:
+            for name in spec.stored_views(params[spec.name]):
                 assert np.shares_memory(tensors[name], params[spec.name]), name
         again = models.fuse_checkpoint(config, tensors)
         assert list(again) == list(params)
@@ -921,6 +926,9 @@ class TestInit:
         assert list(predictor.params) == list(params)
         for name, view in params.items():
             assert predictor.params[name].tobytes() == view.tobytes(), name
+        # a tensor stored whole in its held order is the loaded one, not a copy
+        for name in ("embedding.table", "head.w1", "head.b2"):
+            assert np.shares_memory(predictor.params[name], loaded.tensors[name]), name
 
     def test_padding_row_starts_at_zero(self):
         params = initial_params(mini_config("cnn"), seed=2)

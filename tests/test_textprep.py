@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aerotext import jsonio
 from aerotext.errors import EmptyCorpus
 from aerotext.textprep import (
     OOV_ID,
@@ -96,8 +97,8 @@ class TestVocabulary:
     def test_cutoff_moves_rest_to_oov(self):
         vocab = fit_vocabulary(["b a", "b c"], max_size=1)
         assert vocab.token_to_id == {"b": 2}
-        assert vocab.id_for("a") == OOV_ID
-        assert vocab.id_for("c") == OOV_ID
+        assert vocab.token_to_id.get("a", OOV_ID) == OOV_ID
+        assert vocab.token_to_id.get("c", OOV_ID) == OOV_ID
 
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
@@ -221,7 +222,7 @@ class TestStats:
     def test_json_round_trip(self):
         import json
         stats = word_count_stats(["a b", "c d e"])
-        parsed = json.loads(stats.to_json())
+        parsed = json.loads(jsonio.dumps(stats.to_json_dict()))
         assert parsed["mean"] == 2.5
         assert parsed["histogram"] == {"2": 1, "3": 1}
         assert parsed["documents"] == 2

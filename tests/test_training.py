@@ -19,6 +19,7 @@ from aerotext.errors import (
     ShapeMismatch,
     VersionUnsupported,
 )
+from aerotext.metrics import Predictor
 from aerotext.models import ModelConfig
 from aerotext.textprep import TokenSequence, encode_sequence, fit_vocabulary
 from aerotext.training import (
@@ -712,6 +713,27 @@ class TestCheckpointIo:
         assert abs(probs.sum() - 1.0) < 1e-12
         np.testing.assert_array_equal(
             probs, models.forward_probs(ckpt.config, initial_params(ckpt.config, seed=9), seq))
+
+    @pytest.mark.parametrize("arch", models.ARCHITECTURES)
+    def test_loaded_checkpoint_scores_bit_for_bit_at_default_sizes(self, tmp_path, arch):
+        # a loader that left the tensors as views of the file's bytes, at
+        # offsets that are not multiples of 8, moved scoring's last bits at
+        # the default layer sizes for every architecture; the tiny dims of
+        # the test above do not show it
+        config = ModelConfig(arch=arch, vocab_size=300, max_len=24)
+        flat = models.init_params(config, seed=5)
+        vocab = fit_vocabulary([" ".join(f"w{i}" for i in range(300))], max_size=300)
+        save_checkpoint(ModelCheckpoint(config, vocab, frozenset(), "head",
+                                        models.checkpoint_views(config, flat), epoch=1),
+                        tmp_path / "model.atxc")
+        loaded = Predictor(load_checkpoint(tmp_path / "model.atxc")).params
+        rng = np.random.default_rng(2)
+        seqs = []
+        for length in rng.integers(config.conv_kernel, config.max_len + 1, 48).tolist():
+            ids = rng.integers(1, config.vocab_size + 2, length).tolist()
+            seqs.append(TokenSequence(ids + [0] * (config.max_len - length), length))
+        want = models.score(config, models.parameter_views(config, flat), seqs)
+        assert models.score(config, loaded, seqs).tobytes() == want.tobytes()
 
 
 class TestHistoryCsv:
